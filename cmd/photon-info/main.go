@@ -54,7 +54,7 @@ func main() {
 	fmt.Println("photon-go: Remote Memory Access middleware (reconstruction)")
 	fmt.Printf("  go:                 %s on %s/%s (%d CPUs)\n",
 		goruntime.Version(), goruntime.GOOS, goruntime.GOARCH, goruntime.NumCPU())
-	fmt.Println("  backends:           vsim (simulated IB verbs), tcp (loopback sockets), shm (intra-host SPSC rings)")
+	fmt.Println("  backends:           vsim (simulated IB verbs), tcp (loopback sockets), shm (intra-host direct access)")
 	fmt.Printf("  engine shards:      %d (peers partitioned rank %% shards)\n", eff.EngineShards)
 	fmt.Printf("  ledger slots:       %d (pwc/eager), %d (sys)\n", eff.LedgerSlots, eff.SysSlots)
 	fmt.Printf("  eager entry:        %d B (packed payload cap %d B)\n",
@@ -390,7 +390,7 @@ func flightInfo() string {
 
 // shmDataPath boots a shared-memory job with a sharded engine, streams
 // pipelined puts, and reports the per-shard engine gauges plus the
-// shm_* ring counters.
+// shm_* transport counters.
 func shmDataPath() string {
 	phs, cleanup, err := bench.NewShmPhotons(2, core.Config{Metrics: true, EngineShards: 2})
 	if err != nil {
@@ -405,7 +405,7 @@ func shmDataPath() string {
 		return fmt.Sprintln("error:", err)
 	}
 	cs := stats.NewCounterSet()
-	// Engine-shard gauges from the initiator rank; shm ring counters
+	// Engine-shard gauges from the initiator rank; shm transport counters
 	// summed across both ranks (frames out at one side arrive at the
 	// other).
 	snap0 := phs[0].Metrics()

@@ -12,11 +12,10 @@ import (
 // encoder writes must have a matching arm in the peer's decoder switch,
 // every decoder arm must correspond to an opcode somebody encodes, and
 // frame-length arithmetic must be spelled with named constants. The
-// tree carries three parallel wire formats (tcp v2 frames, shm SPSC
-// frames, nicsim fabric frames); a missing arm fails at the peer as a
-// protocol error, and a dead arm is untested code that will silently
-// rot — neither is caught by the compiler because opcodes are just
-// integers.
+// tree carries parallel wire formats (tcp v2 frames, nicsim fabric
+// frames); a missing arm fails at the peer as a protocol error, and a
+// dead arm is untested code that will silently rot — neither is caught
+// by the compiler because opcodes are just integers.
 //
 // Protocol groups are discovered, not configured: any switch statement
 // whose cases name two or more integer constants from one const block

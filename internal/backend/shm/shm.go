@@ -1,34 +1,34 @@
 // Package shm is Photon's intra-host shared-memory backend: the
-// core.Backend transport contract over per-peer-pair SPSC ring buffers
-// instead of a NIC or a socket. It models the shared-memory transports
-// high-performance runtimes select for same-node peers (process-shared
-// rings under CMA/XPMEM-style copy agents): when every rank lives in
-// one OS process, a put is two ring copies and a futex-style wake —
-// no syscalls, no serialization beyond the wire frame, and latency set
-// by cache-coherency traffic rather than the network stack.
+// core.Backend transport contract for peers that share an address
+// space. It models the direct-access path high-performance runtimes
+// take for same-node peers (Photon's use_cma, MPI-3 shared-memory
+// windows): the initiator copies straight into, or out of, the
+// target's registered memory itself, so there is no agent on the
+// target, no request framing and no goroutine handoff. A put is one
+// copy under the target's memory lock and a wake of the target's
+// engine.
 //
-// Topology: each rank owns one inbound spscRing per peer (the directed
-// pair's request channel) and a single agent goroutine that drains all
-// of them. A posted operation is framed and copied into the target's
-// inbound ring at post time (PostWrite's snapshot-at-post contract for
-// free), the target's agent is kicked through a WakeChan, and the
-// agent applies the operation against the target's registration table
-// and pushes the completion directly into the *initiator's* CompQueue.
-// Responses never traverse a reverse ring: the agent writes read and
-// atomic results straight into the initiator's parked destination
-// buffer — legal because the ranks share an address space, and exactly
-// the shortcut a CMA copy agent takes on real hardware.
+// Every Post* applies its operation before it returns, under the
+// target's registration lock with the same rkey, bounds and alignment
+// checks a remote agent would run, and then pushes the completion into
+// the initiator's own CompQueue. That gives the core.Backend contract
+// directly:
 //
-// Ordering: one ring per directed pair, drained FIFO, gives RC
-// in-order-per-rank execution; completions are pushed in processing
-// order, so a signaled completion fences everything posted earlier
-// toward the same rank. A full ring surfaces as core.ErrWouldBlock
-// (counted in shm_ring_full_spins) and the engine defers and retries,
-// the same backpressure path as a full send queue.
+//   - RC order, and a signaled completion fencing every earlier op
+//     toward the same rank: each op is applied before its post returns.
+//   - Snapshot-at-post: the payload is copied before PostWrite returns.
+//   - Post never waits on the target's progress, only on the target's
+//     bounded critical sections under its registration lock (the
+//     engine's ledger sweep, an application read). That is why no
+//     caller may post while holding a registration locker: two ranks
+//     doing so toward each other would each wait for the other's lock.
+//
+// The same path serves every rank, the initiator's own included.
 package shm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,49 +38,15 @@ import (
 	"photon/internal/trace"
 )
 
-// Config tunes the cluster.
-type Config struct {
-	// RingBytes is the capacity of each directed per-pair ring
-	// (default 1MiB, rounded up to a power of two). One operation may
-	// use at most half the ring; larger payloads get ErrTooLarge.
-	RingBytes int
-}
+// Config tunes the cluster. Direct access needs no per-pair resources,
+// so there is nothing to tune yet.
+type Config struct{}
 
-func (c *Config) setDefaults() {
-	if c.RingBytes <= 0 {
-		c.RingBytes = 1 << 20
-	}
-	// Round up to a power of two (ring indexing masks).
-	sz := 1
-	for sz < c.RingBytes {
-		sz <<= 1
-	}
-	c.RingBytes = sz
-}
+// atomicLen is the size and alignment of the word every fetch-add and
+// comp-swap acts on, and the size its result buffer must hold.
+const atomicLen = 8
 
-// Wire frame: u32 bodyLen | u8 op | u64 token | op-specific fields.
-// The length prefix counts everything after itself. Producers publish
-// whole frames only, so a consumer never observes a partial frame.
-const (
-	opWrite = 1 // u8 flags | u64 raddr | u32 rkey | payload
-	opRead  = 2 // u64 raddr | u32 rkey | u32 n
-	opFAdd  = 3 // u64 raddr | u32 rkey | u64 add
-	opCSwap = 4 // u64 raddr | u32 rkey | u64 cmp | u64 swap
-
-	flagSignaled = 1 << 0
-
-	lenPrefix    = 4
-	writeHdrLen  = lenPrefix + 1 + 8 + 1 + 8 + 4 // through rkey; payload follows
-	readBodyLen  = 1 + 8 + 8 + 4 + 4
-	fAddBodyLen  = 1 + 8 + 8 + 4 + 8
-	cSwapBodyLen = 1 + 8 + 8 + 4 + 8 + 8
-	maxFixedLen  = lenPrefix + cSwapBodyLen // agent header scratch bound
-
-	// atomicResultLen is the 8-byte word every fetch-add/comp-swap
-	// result buffer must hold; the agent writes exactly this many
-	// bytes back into the initiator's pending buffer.
-	atomicResultLen = 8
-)
+var errMisaligned = errors.New("shm: misaligned atomic")
 
 // registration is one pinned buffer in the fake address space (same
 // scheme as the TCP backend: page-aligned bases handed out linearly,
@@ -111,7 +77,6 @@ func NewCluster(n int, cfg Config) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shm: cluster size %d", n)
 	}
-	cfg.setDefaults()
 	c := &Cluster{
 		backends: make([]*Backend, n),
 		blobs:    make([][]byte, n),
@@ -120,30 +85,15 @@ func NewCluster(n int, cfg Config) (*Cluster, error) {
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for r := 0; r < n; r++ {
-		b := &Backend{
+		c.backends[r] = &Backend{
 			cluster:  c,
 			rank:     r,
 			size:     n,
-			inRings:  make([]*spscRing, n),
-			prodMu:   make([]sync.Mutex, n),
 			regs:     make(map[uint32]*registration),
 			nextRKey: 1,
 			nextBase: 0x1000,
-			pend:     make(map[uint64][]byte),
 			compq:    core.NewCompQueue(),
-			wake:     core.NewWakeChan(),
-			closed:   make(chan struct{}),
 		}
-		for s := 0; s < n; s++ {
-			if s != r {
-				b.inRings[s] = newRing(cfg.RingBytes)
-			}
-		}
-		c.backends[r] = b
-	}
-	for _, b := range c.backends {
-		b.agentWG.Add(1)
-		go b.agent()
 	}
 	return c, nil
 }
@@ -201,45 +151,27 @@ type Backend struct {
 	rank    int
 	size    int
 
-	// inRings[s] carries requests from rank s toward this rank (nil at
-	// self). This rank's agent is the only consumer of all of them.
-	inRings []*spscRing
-	// prodMu[t] serializes this rank's posters toward rank t: the
-	// directed ring is SPSC, so concurrent engine goroutines posting to
-	// the same target take the producer role one at a time.
-	//photon:lock shmprod 20
-	prodMu []sync.Mutex
-
+	// memMu guards registered memory (the "DMA lock"). Initiators take
+	// it, on the target's Backend, for the duration of each copy.
 	//photon:lock shmmem 30
-	memMu    sync.RWMutex  // guards registered memory (the "DMA lock")
-	writeAct atomic.Uint64 // bumped after every applied remote write/atomic
+	memMu    sync.RWMutex
+	writeAct atomic.Uint64 // bumped after every applied write/atomic
 	regs     map[uint32]*registration
 	nextRKey uint32
 	nextBase uint64
 
-	// pend parks read/atomic result destinations by token until the
-	// target's agent fills and completes them.
-	//photon:lock shmpend 40
-	pendMu sync.Mutex
-	pend   map[uint64][]byte
+	// compq carries completions to this rank's engine and doubles as
+	// its NotifyBackend/WakeSinkBackend event source: initiators kick
+	// it when data lands here.
+	compq  *core.CompQueue
+	closed atomic.Bool
 
-	// compq carries completions back to this rank's engine and doubles
-	// as its NotifyBackend/WakeSinkBackend event source.
-	compq *core.CompQueue
-
-	// wake parks the agent between bursts (futex analogue: producers
-	// kick it after publishing into an inbound ring).
-	wake    *core.WakeChan
-	agentWG sync.WaitGroup
-	closed  chan struct{}
-
-	// Transport counters (TransportStats).
-	framesIn   atomic.Int64
-	framesOut  atomic.Int64
-	bytesIn    atomic.Int64
-	bytesOut   atomic.Int64
-	agentParks atomic.Int64
-	agentWakes atomic.Int64
+	// Transport counters (TransportStats): ops this rank initiated and
+	// ops other ranks (or itself) applied here, with payload bytes.
+	opsOut   atomic.Int64
+	opsIn    atomic.Int64
+	bytesOut atomic.Int64
+	bytesIn  atomic.Int64
 }
 
 var (
@@ -284,8 +216,9 @@ func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
 	return nil
 }
 
-// lookup resolves (rkey, addr, n); caller must hold memMu.
-func (b *Backend) lookup(rkey uint32, addr uint64, n int) (*registration, error) {
+// lookup resolves (rkey, addr, n) to the bytes it names; caller must
+// hold memMu.
+func (b *Backend) lookup(rkey uint32, addr uint64, n int) ([]byte, error) {
 	r, ok := b.regs[rkey]
 	if !ok {
 		return nil, fmt.Errorf("shm: unknown rkey %d", rkey)
@@ -293,18 +226,26 @@ func (b *Backend) lookup(rkey uint32, addr uint64, n int) (*registration, error)
 	if addr < r.base || addr+uint64(n) > r.base+uint64(len(r.buf)) || addr+uint64(n) < addr {
 		return nil, fmt.Errorf("shm: address out of registration bounds")
 	}
-	return r, nil
+	off := addr - r.base
+	return r.buf[off : off+uint64(n)], nil
+}
+
+// copyIn copies data into this rank's registered memory at
+// (raddr, rkey) under the memory lock.
+func (b *Backend) copyIn(raddr uint64, rkey uint32, data []byte) error {
+	b.memMu.Lock()
+	dst, err := b.lookup(rkey, raddr, len(data))
+	if err == nil {
+		copy(dst, data)
+	}
+	b.memMu.Unlock()
+	return err
 }
 
 // ApplyLocal performs a loopback DMA write into this rank's own
 // registered memory with full validation.
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	b.memMu.Lock()
-	reg, err := b.lookup(rkey, raddr, len(data))
-	if err == nil {
-		copy(reg.buf[raddr-reg.base:], data)
-	}
-	b.memMu.Unlock()
+	err := b.copyIn(raddr, rkey, data)
 	if err == nil {
 		b.writeAct.Add(1)
 	}
@@ -312,7 +253,7 @@ func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
 }
 
 // WriteActivity implements core.ActivityBackend with one counter for
-// all registrations (the agent applies every remote write).
+// all registrations (every applied write and atomic bumps it).
 func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
 	return b.writeAct.Load, true
 }
@@ -329,22 +270,14 @@ func (b *Backend) Notify() <-chan struct{} { return b.compq.Wake().Chan() }
 // SetWakeSink implements core.WakeSinkBackend.
 func (b *Backend) SetWakeSink(fn func()) { b.compq.Wake().SetSink(fn) }
 
-// TransportStats implements core.StatsBackend. shm_ring_full_spins
-// sums producer-side backpressure on every ring this rank posts into.
+// TransportStats implements core.StatsBackend. The frame gauges count
+// applied ops, so per-op frame ratios read 1 per backend op; the byte
+// gauges count their payload bytes.
 func (b *Backend) TransportStats(yield func(name string, v int64)) {
-	yield("shm_frames_in", b.framesIn.Load())
-	yield("shm_frames_out", b.framesOut.Load())
+	yield("shm_frames_in", b.opsIn.Load())
+	yield("shm_frames_out", b.opsOut.Load())
 	yield("shm_bytes_in", b.bytesIn.Load())
 	yield("shm_bytes_out", b.bytesOut.Load())
-	yield("shm_agent_parks", b.agentParks.Load())
-	yield("shm_agent_wakes", b.agentWakes.Load())
-	var spins int64
-	for _, peer := range b.cluster.backends {
-		if peer.rank != b.rank {
-			spins += peer.inRings[b.rank].fullSpins.Load()
-		}
-	}
-	yield("shm_ring_full_spins", spins)
 }
 
 // ClockOffset implements core.ClockBackend: every rank lives in one
@@ -358,428 +291,152 @@ func (b *Backend) Exchange(local []byte) ([][]byte, error) {
 	return b.cluster.exchange(b.rank, local)
 }
 
-// Close stops the agent and releases the endpoint. Idempotent.
+// Close releases the endpoint: later posts from it fail with
+// core.ErrClosed, and posts toward it with core.ErrPeerDown. Nothing
+// is ever in flight, so there is nothing to drain. Idempotent.
 func (b *Backend) Close() error {
-	b.pendMu.Lock()
-	select {
-	case <-b.closed:
-		b.pendMu.Unlock()
-		return nil
-	default:
-		close(b.closed)
-	}
-	b.pendMu.Unlock()
-	b.wake.Kick()
-	b.agentWG.Wait()
+	b.closed.Store(true)
 	return nil
 }
 
-func (b *Backend) checkRank(rank int) error {
+// target resolves the Backend a post toward rank acts on.
+func (b *Backend) target(rank int) (*Backend, error) {
 	if rank < 0 || rank >= b.size {
-		return core.ErrBadRank
+		return nil, core.ErrBadRank
 	}
-	select {
-	case <-b.closed:
-		return core.ErrClosed
-	default:
-		return nil
+	if b.closed.Load() {
+		return nil, core.ErrClosed
 	}
+	t := b.cluster.backends[rank]
+	if t.closed.Load() {
+		return nil, core.ErrPeerDown
+	}
+	return t, nil
 }
 
-// outRing returns the directed ring from this rank toward rank t.
-func (b *Backend) outRing(t int) *spscRing {
-	return b.cluster.backends[t].inRings[b.rank]
+// applied accounts one op from b that t carried out over n payload
+// bytes.
+func (b *Backend) applied(t *Backend, n int) {
+	b.opsOut.Add(1)
+	b.bytesOut.Add(int64(n))
+	t.opsIn.Add(1)
+	t.bytesIn.Add(int64(n))
 }
 
-// PostWrite frames local into rank's inbound ring. The payload is
-// copied at post time (snapshot-at-post), so the caller may recycle
-// local as soon as this returns nil.
+// landed publishes a write or atomic that changed t's memory: the
+// activity count lets t's engine sweep its ledgers.
+func (b *Backend) landed(t *Backend, token uint64) {
+	t.writeAct.Add(1)
+	trace.RecordLink(trace.KindWire, t.rank, b.rank, token, 0, "shm.apply")
+}
+
+// PostWrite copies local into rank's registered memory before it
+// returns (snapshot-at-post), wakes rank's engine, and, if signaled,
+// completes token.
 func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
-	if err := b.checkRank(rank); err != nil {
+	t, err := b.target(rank)
+	if err != nil {
 		return err
 	}
-	if rank == b.rank {
-		if err := b.ApplyLocal(raddr, rkey, local); err != nil {
-			return err
-		}
-		if signaled {
-			b.compq.Push(core.BackendCompletion{Token: token, OK: true})
-		}
-		return nil
-	}
-	r := b.outRing(rank)
-	total := writeHdrLen + len(local)
-	if total > len(r.buf)/2 {
-		return core.ErrTooLarge
-	}
-	var hdr [writeHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(total-lenPrefix))
-	hdr[4] = opWrite
-	binary.LittleEndian.PutUint64(hdr[5:], token)
+	err = b.write(t, local, raddr, rkey, token)
+	t.compq.Kick()
 	if signaled {
-		hdr[13] = flagSignaled
+		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
 	}
-	binary.LittleEndian.PutUint64(hdr[14:], raddr)
-	binary.LittleEndian.PutUint32(hdr[22:], rkey)
-
-	b.prodMu[rank].Lock()
-	pos, ok := r.tryReserve(total)
-	if !ok {
-		b.prodMu[rank].Unlock()
-		return core.ErrWouldBlock
-	}
-	r.writeAt(pos, hdr[:])
-	r.writeAt(pos+writeHdrLen, local)
-	r.publish(pos + uint64(total))
-	b.prodMu[rank].Unlock()
-
-	b.framesOut.Add(1)
-	b.bytesOut.Add(int64(total))
-	b.cluster.backends[rank].wake.Kick()
 	return nil
 }
 
-// PostWriteBatch implements core.BatchBackend: one producer-lock
-// acquisition and one doorbell kick for the whole burst.
+// PostWriteBatch implements core.BatchBackend: every write lands before
+// one wake of the target's engine.
 func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
-	if err := b.checkRank(rank); err != nil {
+	t, err := b.target(rank)
+	if err != nil {
 		return 0, err
 	}
-	if rank == b.rank {
-		for i := range reqs {
-			if err := b.PostWrite(rank, reqs[i].Local, reqs[i].RemoteAddr, reqs[i].RKey, reqs[i].Token, reqs[i].Signaled); err != nil {
-				return i, err
-			}
-		}
-		return len(reqs), nil
-	}
-	r := b.outRing(rank)
-	var hdr [writeHdrLen]byte
-	n := 0
-	var frames, bytes int64
-	b.prodMu[rank].Lock()
 	for i := range reqs {
-		total := writeHdrLen + len(reqs[i].Local)
-		if total > len(r.buf)/2 {
-			b.prodMu[rank].Unlock()
-			if frames > 0 {
-				b.flushBatchStats(rank, frames, bytes)
-			}
-			return n, core.ErrTooLarge
+		r := &reqs[i]
+		err := b.write(t, r.Local, r.RemoteAddr, r.RKey, r.Token)
+		if r.Signaled {
+			b.compq.Push(core.BackendCompletion{Token: r.Token, OK: err == nil, Err: err})
 		}
-		pos, ok := r.tryReserve(total)
-		if !ok {
-			b.prodMu[rank].Unlock()
-			if frames > 0 {
-				b.flushBatchStats(rank, frames, bytes)
-			}
-			return n, core.ErrWouldBlock
-		}
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(total-lenPrefix))
-		hdr[4] = opWrite
-		binary.LittleEndian.PutUint64(hdr[5:], reqs[i].Token)
-		hdr[13] = 0
-		if reqs[i].Signaled {
-			hdr[13] = flagSignaled
-		}
-		binary.LittleEndian.PutUint64(hdr[14:], reqs[i].RemoteAddr)
-		binary.LittleEndian.PutUint32(hdr[22:], reqs[i].RKey)
-		r.writeAt(pos, hdr[:])
-		r.writeAt(pos+writeHdrLen, reqs[i].Local)
-		r.publish(pos + uint64(total))
-		frames++
-		bytes += int64(total)
-		n++
 	}
-	b.prodMu[rank].Unlock()
-	b.flushBatchStats(rank, frames, bytes)
-	return n, nil
+	t.compq.Kick()
+	return len(reqs), nil
 }
 
-func (b *Backend) flushBatchStats(rank int, frames, bytes int64) {
-	b.framesOut.Add(frames)
-	b.bytesOut.Add(bytes)
-	b.cluster.backends[rank].wake.Kick()
-}
-
-// postFixed frames a payload-free request (read/atomic) after parking
-// the result destination under the token.
-func (b *Backend) postFixed(rank int, local []byte, body []byte, token uint64) error {
-	b.pendMu.Lock()
-	b.pend[token] = local
-	b.pendMu.Unlock()
-
-	r := b.outRing(rank)
-	total := lenPrefix + len(body)
-	b.prodMu[rank].Lock()
-	pos, ok := r.tryReserve(total)
-	if !ok {
-		b.prodMu[rank].Unlock()
-		b.pendMu.Lock()
-		delete(b.pend, token)
-		b.pendMu.Unlock()
-		return core.ErrWouldBlock
+// write copies local into t's memory at (raddr, rkey).
+func (b *Backend) write(t *Backend, local []byte, raddr uint64, rkey uint32, token uint64) error {
+	err := t.copyIn(raddr, rkey, local)
+	b.applied(t, len(local))
+	if err == nil {
+		b.landed(t, token)
 	}
-	var lenBuf [lenPrefix]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	r.writeAt(pos, lenBuf[:])
-	r.writeAt(pos+lenPrefix, body)
-	r.publish(pos + uint64(total))
-	b.prodMu[rank].Unlock()
-
-	b.framesOut.Add(1)
-	b.bytesOut.Add(int64(total))
-	b.cluster.backends[rank].wake.Kick()
-	return nil
+	return err
 }
 
-// PostRead starts a one-sided read; local is owned by the backend
-// until the completion is reported.
+// PostRead copies from rank's registered memory into local before it
+// returns, then completes token.
 func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error {
-	if err := b.checkRank(rank); err != nil {
+	t, err := b.target(rank)
+	if err != nil {
 		return err
 	}
-	if rank == b.rank {
-		b.memMu.RLock()
-		reg, err := b.lookup(rkey, raddr, len(local))
-		if err == nil {
-			copy(local, reg.buf[raddr-reg.base:])
-		}
-		b.memMu.RUnlock()
-		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-		return nil
+	t.memMu.RLock()
+	src, err := t.lookup(rkey, raddr, len(local))
+	if err == nil {
+		copy(local, src)
 	}
-	var body [readBodyLen]byte
-	body[0] = opRead
-	binary.LittleEndian.PutUint64(body[1:], token)
-	binary.LittleEndian.PutUint64(body[9:], raddr)
-	binary.LittleEndian.PutUint32(body[17:], rkey)
-	binary.LittleEndian.PutUint32(body[21:], uint32(len(local)))
-	return b.postFixed(rank, local, body[:], token)
+	t.memMu.RUnlock()
+	b.applied(t, len(local))
+	b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
+	return nil
 }
 
 // PostFetchAdd atomically adds to the 8-byte word at (raddr, rkey).
 func (b *Backend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint32, add uint64, token uint64) error {
-	if err := b.checkRank(rank); err != nil {
-		return err
-	}
-	if len(result) < atomicResultLen {
-		return fmt.Errorf("shm: fetch-add result buffer too small")
-	}
-	if rank == b.rank {
-		err := b.atomicLocal(raddr, rkey, result, func(old uint64) uint64 { return old + add })
-		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-		return nil
-	}
-	var body [fAddBodyLen]byte
-	body[0] = opFAdd
-	binary.LittleEndian.PutUint64(body[1:], token)
-	binary.LittleEndian.PutUint64(body[9:], raddr)
-	binary.LittleEndian.PutUint32(body[17:], rkey)
-	binary.LittleEndian.PutUint64(body[21:], add)
-	return b.postFixed(rank, result, body[:], token)
+	return b.postAtomic(rank, result, raddr, rkey, false, add, 0, token)
 }
 
 // PostCompSwap atomically compare-and-swaps the 8-byte word.
 func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint32, compare, swap uint64, token uint64) error {
-	if err := b.checkRank(rank); err != nil {
-		return err
-	}
-	if len(result) < atomicResultLen {
-		return fmt.Errorf("shm: comp-swap result buffer too small")
-	}
-	if rank == b.rank {
-		err := b.atomicLocal(raddr, rkey, result, func(old uint64) uint64 {
-			if old == compare {
-				return swap
-			}
-			return old
-		})
-		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-		return nil
-	}
-	var body [cSwapBodyLen]byte
-	body[0] = opCSwap
-	binary.LittleEndian.PutUint64(body[1:], token)
-	binary.LittleEndian.PutUint64(body[9:], raddr)
-	binary.LittleEndian.PutUint32(body[17:], rkey)
-	binary.LittleEndian.PutUint64(body[21:], compare)
-	binary.LittleEndian.PutUint64(body[29:], swap)
-	return b.postFixed(rank, result, body[:], token)
+	return b.postAtomic(rank, result, raddr, rkey, true, compare, swap, token)
 }
 
-// atomicLocal applies fn to the 8-byte word under the DMA lock,
-// placing the prior value in result.
-func (b *Backend) atomicLocal(raddr uint64, rkey uint32, result []byte, fn func(uint64) uint64) error {
-	b.memMu.Lock()
-	reg, err := b.lookup(rkey, raddr, 8)
+// postAtomic applies a fetch-add (operand is the addend) or, if cswap,
+// a compare-and-swap (operand is the comparand) to the aligned word at
+// (raddr, rkey) on rank, placing the prior value in result.
+func (b *Backend) postAtomic(rank int, result []byte, raddr uint64, rkey uint32, cswap bool, operand, swap, token uint64) error {
+	t, err := b.target(rank)
 	if err != nil {
-		b.memMu.Unlock()
 		return err
 	}
-	w := reg.buf[raddr-reg.base:]
-	old := binary.LittleEndian.Uint64(w)
-	binary.LittleEndian.PutUint64(w, fn(old))
-	b.memMu.Unlock()
-	binary.LittleEndian.PutUint64(result, old)
-	b.writeAct.Add(1)
-	return nil
-}
-
-// takePend claims the parked destination for token.
-func (b *Backend) takePend(token uint64) []byte {
-	b.pendMu.Lock()
-	buf := b.pend[token]
-	delete(b.pend, token)
-	b.pendMu.Unlock()
-	return buf
-}
-
-// agent is this rank's consumer loop: it drains every inbound ring,
-// applies operations against local registered memory, and completes
-// them into the initiator's queue. One goroutine per rank; parked on
-// the wake latch between bursts.
-func (b *Backend) agent() {
-	defer b.agentWG.Done()
-	var hdr [maxFixedLen]byte
-	for {
-		busy := false
-		for src, r := range b.inRings {
-			if r == nil {
-				continue
-			}
-			if n := b.drainRing(src, r, hdr[:]); n > 0 {
-				busy = true
-				// Ring space opened up: wake the producer's engine so
-				// deferred (ErrWouldBlock) posts retry promptly.
-				b.cluster.backends[src].compq.Kick()
-			}
-		}
-		if busy {
-			continue
-		}
-		select {
-		case <-b.closed:
-			return
-		default:
-		}
-		b.agentParks.Add(1)
-		select {
-		case <-b.wake.Chan():
-			b.agentWakes.Add(1)
-		case <-b.closed:
-			return
-		}
+	if len(result) < atomicLen {
+		return fmt.Errorf("shm: atomic result buffer too small")
 	}
-}
-
-// drainRing consumes every complete frame currently in r (requests
-// from rank src), returning the frame count.
-func (b *Backend) drainRing(src int, r *spscRing, hdr []byte) int {
-	frames := 0
-	for {
-		if r.pending() < lenPrefix {
-			return frames
-		}
-		pos := r.head.Load()
-		lb := r.readAt(pos, hdr[:lenPrefix], lenPrefix)
-		bodyLen := int(binary.LittleEndian.Uint32(lb))
-		// Producers publish whole frames, so the body is present.
-		b.applyFrame(src, r, pos+lenPrefix, bodyLen, hdr)
-		r.advance(uint64(lenPrefix + bodyLen))
-		frames++
-		b.framesIn.Add(1)
-		b.bytesIn.Add(int64(lenPrefix + bodyLen))
-	}
-}
-
-// applyFrame decodes and executes one request body at ring position
-// pos, pushing the completion into the initiator's queue.
-func (b *Backend) applyFrame(src int, r *spscRing, pos uint64, bodyLen int, hdr []byte) {
-	peer := b.cluster.backends[src]
-	fixed := bodyLen
-	if fixed > len(hdr) {
-		fixed = len(hdr)
-	}
-	h := r.readAt(pos, hdr[:fixed], fixed)
-	op := h[0]
-	token := binary.LittleEndian.Uint64(h[1:])
-	switch op {
-	case opWrite:
-		signaled := h[9]&flagSignaled != 0
-		raddr := binary.LittleEndian.Uint64(h[10:])
-		rkey := binary.LittleEndian.Uint32(h[18:])
-		n := bodyLen - (writeHdrLen - lenPrefix)
-		b.memMu.Lock()
-		reg, err := b.lookup(rkey, raddr, n)
-		if err == nil {
-			// Copy the payload straight from the ring into the target
-			// registration (two segments across the wrap point at most).
-			r.readAt(pos+writeHdrLen-lenPrefix, reg.buf[raddr-reg.base:raddr-reg.base+uint64(n)], n)
-		}
-		b.memMu.Unlock()
-		if err == nil {
-			b.writeAct.Add(1)
-			// Data is visible: kick the target engine's sweep even when
-			// unsignaled (ledger writes are unsignaled by design).
-			b.compq.Kick()
-			if signaled {
-				peer.compq.Push(core.BackendCompletion{Token: token, OK: true})
-			}
-		} else if signaled {
-			peer.compq.Push(core.BackendCompletion{Token: token, OK: false, Err: err})
-		}
-		trace.RecordLink(trace.KindWire, b.rank, src, token, 0, "shm.apply")
-	case opRead:
-		raddr := binary.LittleEndian.Uint64(h[9:])
-		rkey := binary.LittleEndian.Uint32(h[17:])
-		n := int(binary.LittleEndian.Uint32(h[21:]))
-		dst := peer.takePend(token)
-		var err error
-		if dst == nil || len(dst) < n {
-			err = fmt.Errorf("shm: read destination missing for token %d", token)
-		} else {
-			b.memMu.RLock()
-			var reg *registration
-			reg, err = b.lookup(rkey, raddr, n)
-			if err == nil {
-				copy(dst[:n], reg.buf[raddr-reg.base:])
-			}
-			b.memMu.RUnlock()
-		}
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-	case opFAdd:
-		raddr := binary.LittleEndian.Uint64(h[9:])
-		rkey := binary.LittleEndian.Uint32(h[17:])
-		add := binary.LittleEndian.Uint64(h[21:])
-		dst := peer.takePend(token)
-		var err error
-		if dst == nil {
-			err = fmt.Errorf("shm: atomic destination missing for token %d", token)
-		} else {
-			err = b.atomicLocal(raddr, rkey, dst, func(old uint64) uint64 { return old + add })
-		}
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-	case opCSwap:
-		raddr := binary.LittleEndian.Uint64(h[9:])
-		rkey := binary.LittleEndian.Uint32(h[17:])
-		cmp := binary.LittleEndian.Uint64(h[21:])
-		swap := binary.LittleEndian.Uint64(h[29:])
-		dst := peer.takePend(token)
-		var err error
-		if dst == nil {
-			err = fmt.Errorf("shm: atomic destination missing for token %d", token)
-		} else {
-			err = b.atomicLocal(raddr, rkey, dst, func(old uint64) uint64 {
-				if old == cmp {
-					return swap
+	if raddr%atomicLen != 0 {
+		err = errMisaligned
+	} else {
+		t.memMu.Lock()
+		var w []byte
+		if w, err = t.lookup(rkey, raddr, atomicLen); err == nil {
+			old := binary.LittleEndian.Uint64(w)
+			nv := old + operand
+			if cswap {
+				nv = old
+				if old == operand {
+					nv = swap
 				}
-				return old
-			})
+			}
+			binary.LittleEndian.PutUint64(w, nv)
+			binary.LittleEndian.PutUint64(result, old)
 		}
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-	default:
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: false,
-			Err: fmt.Errorf("shm: unknown opcode %d", op)})
+		t.memMu.Unlock()
 	}
+	b.applied(t, atomicLen)
+	if err == nil {
+		b.landed(t, token)
+	}
+	t.compq.Kick()
+	b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
+	return nil
 }

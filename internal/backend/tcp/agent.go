@@ -1071,20 +1071,26 @@ func decodeExgResp(body []byte) ([][]byte, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("tcp: short exchange response")
 	}
-	count := int(binary.LittleEndian.Uint32(body))
+	// Every blob costs at least its 4-byte length word, so a count the
+	// body cannot hold is rejected before it sizes an allocation.
+	count := uint64(binary.LittleEndian.Uint32(body))
+	if count > uint64(len(body)-4)/4 {
+		return nil, fmt.Errorf("tcp: exchange response count %d exceeds its %d-byte body", count, len(body))
+	}
 	out := make([][]byte, 0, count)
 	off := 4
-	for i := 0; i < count; i++ {
+	for i := uint64(0); i < count; i++ {
 		if off+4 > len(body) {
 			return nil, fmt.Errorf("tcp: truncated exchange response")
 		}
-		n := int(binary.LittleEndian.Uint32(body[off:]))
+		n := binary.LittleEndian.Uint32(body[off:])
 		off += 4
-		if off+n > len(body) {
+		if uint64(n) > uint64(len(body)-off) {
 			return nil, fmt.Errorf("tcp: truncated exchange blob")
 		}
-		out = append(out, append([]byte(nil), body[off:off+n]...))
-		off += n
+		end := off + int(n)
+		out = append(out, append([]byte(nil), body[off:end]...))
+		off = end
 	}
 	return out, nil
 }

@@ -143,11 +143,11 @@ func runE14(scale float64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := runLeg("shm-rings", phs); err != nil {
+		if err := runLeg("shm-direct", phs); err != nil {
 			cleanup()
 			return nil, err
 		}
-		// Pipelined 8B put rate over the rings, the counterpart of the
+		// Pipelined 8B put rate over shm, the counterpart of the
 		// TCP data-path profile in E11.
 		_, descs, _, err := ShareBuffers(phs, 1<<20)
 		if err != nil {

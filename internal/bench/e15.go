@@ -100,7 +100,7 @@ func runE15(scale float64) (*Report, error) {
 		name string
 		mk   func(core.Config) ([]*core.Photon, func(), error)
 	}{
-		{"shm-rings", func(cfg core.Config) ([]*core.Photon, func(), error) { return NewShmPhotons(2, cfg) }},
+		{"shm-direct", func(cfg core.Config) ([]*core.Photon, func(), error) { return NewShmPhotons(2, cfg) }},
 		{"tcp-sockets", func(cfg core.Config) ([]*core.Photon, func(), error) { return NewTCPPhotons(2, cfg) }},
 	}
 	for _, b := range backends {

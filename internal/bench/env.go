@@ -182,7 +182,7 @@ func ShareBuffers(phs []*core.Photon, size int) (bufs [][]byte, descs [][]mem.Re
 }
 
 // NewShmPhotons boots an n-rank Photon job over the intra-host
-// shared-memory backend (same-process peers over SPSC rings).
+// shared-memory backend (same-process peers, direct access).
 func NewShmPhotons(n int, cfg core.Config) ([]*core.Photon, func(), error) {
 	cfg = overlayObs(cfg)
 	cl, err := shm.NewCluster(n, shm.Config{})

@@ -93,11 +93,12 @@ type BackendCompletion struct {
 }
 
 // Backend is the transport Photon runs over: one-sided operations plus
-// registered memory and an out-of-band bootstrap exchange. Two
-// implementations exist: backend/vsim (simulated IB verbs over the
-// in-process fabric) and backend/tcp (real sockets, one-sided ops
-// emulated by a remote agent) — mirroring the original's verbs / uGNI /
-// libfabric / TCP backend set.
+// registered memory and an out-of-band bootstrap exchange. Three
+// transports implement it: backend/vsim (simulated IB verbs over the
+// in-process fabric), backend/tcp (real sockets, one-sided ops
+// emulated by a remote agent) and backend/shm (same-address-space
+// peers; the initiator applies each op itself) — mirroring the
+// original's verbs / uGNI / libfabric / TCP / CMA backend set.
 //
 // Semantics the engine relies on:
 //
@@ -106,8 +107,15 @@ type BackendCompletion struct {
 //   - A signaled operation's completion (reported by Poll with its
 //     token) implies every earlier operation toward the same rank has
 //     completed too.
-//   - Post* never blocks; it returns ErrWouldBlock under transient
-//     resource exhaustion.
+//   - Post* never waits on a peer's progress; it returns ErrWouldBlock
+//     under transient resource exhaustion. A transport that applies the
+//     op inside the post call (shm) may wait for the target's bounded
+//     critical sections under the target's registration lock — the
+//     engine's ledger sweep, an application read — and nothing else.
+//   - No caller may post while holding a registration locker (the
+//     sync.Locker Register returns). Two ranks posting toward each
+//     other while each holds its own locker would each wait for the
+//     other's lock. Read under the locker, release it, then post.
 //   - PostWrite snapshots local before returning (the doorbell-DMA
 //     model): once PostWrite returns nil the caller may immediately
 //     reuse or recycle local. PostRead and the atomics are the
@@ -122,7 +130,8 @@ type Backend interface {
 
 	// Register pins buf for remote access, returning its descriptor
 	// and a read-locker that callers must hold while polling bytes
-	// that remote peers write into buf.
+	// that remote peers write into buf, and must release before
+	// posting any operation.
 	Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error)
 	// Deregister releases a registration by its descriptor.
 	Deregister(rb mem.RemoteBuffer) error

@@ -96,6 +96,7 @@ type queued struct {
 
 type link struct {
 	ch        chan queued
+	inflight  atomic.Int64 // frames Send accepted whose handler has not returned
 	nextFree  time.Time
 	frames    atomic.Int64
 	bytes     atomic.Int64
@@ -197,11 +198,13 @@ func (f *Fabric) Send(src, dst int, data []byte) error {
 	if err != nil {
 		return err
 	}
+	l.inflight.Add(1)
 	select {
 	case l.ch <- queued{fr: Frame{Src: src, Dst: dst, Data: data}, at: time.Now()}:
 		l.noteOccupancy()
 		return nil
 	case <-f.done:
+		l.inflight.Add(-1)
 		return ErrClosed
 	}
 }
@@ -273,6 +276,7 @@ func (f *Fabric) deliver(l *link, q queued) {
 		if h != nil {
 			h(fr)
 		}
+		l.inflight.Add(-1)
 	}
 }
 
@@ -307,20 +311,18 @@ func (f *Fabric) TotalStats() LinkStats {
 	return t
 }
 
-// Drain blocks until every link queue observed at call time has been
-// delivered. It is a test aid, not a synchronization primitive for
-// protocols (those use completions).
+// Drain blocks until no frame is queued or being handed to its
+// handler on any link. It is a test aid, not a synchronization
+// primitive for protocols (those use completions).
 func (f *Fabric) Drain() {
 	for {
 		f.mu.Lock()
-		pending := 0
+		var pending int64
 		for _, l := range f.links {
-			pending += len(l.ch)
+			pending += l.inflight.Load()
 		}
 		f.mu.Unlock()
 		if pending == 0 {
-			// One more yield so in-flight handler calls finish.
-			time.Sleep(100 * time.Microsecond)
 			return
 		}
 		time.Sleep(50 * time.Microsecond)
