@@ -39,7 +39,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/flight"
-	"photon/internal/mem"
 )
 
 // Plan is the seeded injection policy. Probabilities are evaluated
@@ -70,19 +69,19 @@ type delayedOp struct {
 	hold     int
 }
 
-// Backend wraps an inner core.Backend with the plan's faults. It
-// deliberately does not forward the batch-post extension, so every
-// write funnels through PostWrite and sees the same injection point.
+// Backend wraps an inner core.Backend with the plan's faults. Every
+// method it does not fault is the embedded inner backend's. Batched
+// writes are posted one by one through PostWrite, so every write sees
+// the same injection point.
 type Backend struct {
-	inner core.Backend
+	core.Backend
 	plan  Plan
 	group *Group // shared whole-job fault state; nil for Wrap
 
-	// Armed op-count triggers (see group.go). Atomics: engine shards
-	// post concurrently and the trigger must fire exactly once.
-	crashIn  atomic.Int64
-	partIn   atomic.Int64
-	partPeer atomic.Int64
+	// crashIn is the armed CrashAfterOps trigger (see group.go). An
+	// atomic: engine shards post concurrently and the trigger must
+	// fire exactly once.
+	crashIn atomic.Int64
 
 	//photon:lock chaos 10
 	mu          sync.Mutex
@@ -91,6 +90,7 @@ type Backend struct {
 	partitioned map[int]bool
 	crashed     map[int]bool
 	stats       Stats
+	wake        func() // the engine's wake sink: kicked while ops are held and on group kills
 }
 
 var (
@@ -105,7 +105,7 @@ func Wrap(inner core.Backend, plan Plan) *Backend {
 		plan.DelayPolls = 4
 	}
 	return &Backend{
-		inner:       inner,
+		Backend:     inner,
 		plan:        plan,
 		rng:         rand.New(rand.NewSource(plan.Seed)),
 		partitioned: make(map[int]bool),
@@ -120,6 +120,9 @@ func Wrap(inner core.Backend, plan Plan) *Backend {
 func WrapGroup(inner core.Backend, plan Plan, g *Group) *Backend {
 	b := Wrap(inner, plan)
 	b.group = g
+	g.mu.Lock()
+	g.members = append(g.members, b)
+	g.mu.Unlock()
 	return b
 }
 
@@ -147,24 +150,16 @@ func (b *Backend) Stats() Stats {
 	return b.stats
 }
 
-// Rank, Size, Register, Deregister, ApplyLocal, Exchange, Close:
-// transparent forwarding.
-func (b *Backend) Rank() int { return b.inner.Rank() }
-func (b *Backend) Size() int { return b.inner.Size() }
-
-func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	return b.inner.Register(buf)
+// SetWakeSink installs fn on the inner backend and keeps it, so Poll
+// can keep the engine polling while delayed ops are held: their
+// release is counted in Poll calls, and no inner event would otherwise
+// wake a parked waiter before its park grace runs out.
+func (b *Backend) SetWakeSink(fn func()) {
+	b.mu.Lock()
+	b.wake = fn
+	b.mu.Unlock()
+	b.Backend.SetWakeSink(fn)
 }
-
-func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.inner.Deregister(rb) }
-
-func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	return b.inner.ApplyLocal(raddr, rkey, data)
-}
-
-func (b *Backend) Exchange(local []byte) ([][]byte, error) { return b.inner.Exchange(local) }
-
-func (b *Backend) Close() error { return b.inner.Close() }
 
 // verdict is one injection decision.
 type verdict int
@@ -184,7 +179,7 @@ func (b *Backend) decide(rank int) (verdict, error) {
 	if b.crashed[rank] {
 		return vForward, core.ErrPeerDown
 	}
-	if rank == b.inner.Rank() {
+	if rank == b.Rank() {
 		return vForward, nil
 	}
 	if b.partitioned[rank] {
@@ -213,7 +208,7 @@ func (b *Backend) gate(rank int) (forward bool, err error) {
 	if b.crashed[rank] {
 		return false, core.ErrPeerDown
 	}
-	if b.partitioned[rank] && rank != b.inner.Rank() {
+	if b.partitioned[rank] && rank != b.Rank() {
 		b.stats.Dropped++
 		return false, nil
 	}
@@ -247,15 +242,26 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 		b.mu.Unlock()
 		return nil
 	case vDup:
-		if err := b.inner.PostWrite(rank, local, raddr, rkey, token, signaled); err != nil {
+		if err := b.Backend.PostWrite(rank, local, raddr, rkey, token, signaled); err != nil {
 			return err
 		}
 		// Best-effort replay; the duplicate completion must be
 		// rejected by the engine's token generation.
-		_ = b.inner.PostWrite(rank, local, raddr, rkey, token, signaled)
+		_ = b.Backend.PostWrite(rank, local, raddr, rkey, token, signaled)
 		return nil
 	}
-	return b.inner.PostWrite(rank, local, raddr, rkey, token, signaled)
+	return b.Backend.PostWrite(rank, local, raddr, rkey, token, signaled)
+}
+
+// PostWriteBatch posts each request through PostWrite, in order,
+// stopping at the first error.
+func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
+	for i, r := range reqs {
+		if err := b.PostWrite(rank, r.Local, r.RemoteAddr, r.RKey, r.Token, r.Signaled); err != nil {
+			return i, err
+		}
+	}
+	return len(reqs), nil
 }
 
 // PostRead forwards unless the rank is crashed, partitioned, or dead
@@ -268,7 +274,7 @@ func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, to
 	if err != nil || !fwd {
 		return err
 	}
-	return b.inner.PostRead(rank, local, raddr, rkey, token)
+	return b.Backend.PostRead(rank, local, raddr, rkey, token)
 }
 
 // PostFetchAdd forwards unless the rank is crashed or partitioned.
@@ -280,7 +286,7 @@ func (b *Backend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint3
 	if err != nil || !fwd {
 		return err
 	}
-	return b.inner.PostFetchAdd(rank, result, raddr, rkey, add, token)
+	return b.Backend.PostFetchAdd(rank, result, raddr, rkey, add, token)
 }
 
 // PostCompSwap forwards unless the rank is crashed or partitioned.
@@ -292,13 +298,14 @@ func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint3
 	if err != nil || !fwd {
 		return err
 	}
-	return b.inner.PostCompSwap(rank, result, raddr, rkey, compare, swap, token)
+	return b.Backend.PostCompSwap(rank, result, raddr, rkey, compare, swap, token)
 }
 
 // Poll advances delayed ops by one tick, forwards the ones that came
 // due, and reaps the inner backend. Progress drives Poll continually,
 // so DelayPolls measures delay in progress rounds — deterministic
-// under -race, unlike wall-clock holds.
+// under -race, unlike wall-clock holds. While ops stay held, Poll kicks
+// the wake sink so parked waiters keep the rounds coming.
 func (b *Backend) Poll(dst []core.BackendCompletion) int {
 	b.mu.Lock()
 	var due []delayedOp
@@ -315,17 +322,23 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 		}
 		b.delayed = keep
 	}
+	held, wake := len(b.delayed) > 0, b.wake
 	b.mu.Unlock()
 	for _, d := range due {
-		if err := b.inner.PostWrite(d.rank, d.local, d.raddr, d.rkey, d.token, d.signaled); err != nil {
+		if err := b.Backend.PostWrite(d.rank, d.local, d.raddr, d.rkey, d.token, d.signaled); err != nil {
 			// Transient refusal: try again next tick.
 			d.hold = 1
 			b.mu.Lock()
 			b.delayed = append(b.delayed, d)
 			b.mu.Unlock()
+			held = true
 		}
 	}
-	return b.inner.Poll(dst)
+	n := b.Backend.Poll(dst)
+	if held && wake != nil {
+		wake()
+	}
+	return n
 }
 
 // TransportStats forwards the inner transport's counters (nothing when
@@ -333,7 +346,7 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 // counts, so a chaos-wrapped job still shows its transport gauges in
 // Photon.Metrics() plus what the plan did to it.
 func (b *Backend) TransportStats(yield func(name string, value int64)) {
-	if sb, ok := b.inner.(core.StatsBackend); ok {
+	if sb, ok := b.Backend.(core.StatsBackend); ok {
 		sb.TransportStats(yield)
 	}
 	s := b.Stats()
@@ -345,7 +358,7 @@ func (b *Backend) TransportStats(yield func(name string, value int64)) {
 // ConfigureLiveness forwards to the inner transport's detector when it
 // has one (core.HealthBackend).
 func (b *Backend) ConfigureLiveness(heartbeat, suspectAfter time.Duration) {
-	if hb, ok := b.inner.(core.HealthBackend); ok {
+	if hb, ok := b.Backend.(core.HealthBackend); ok {
 		hb.ConfigureLiveness(heartbeat, suspectAfter)
 	}
 }
@@ -355,8 +368,8 @@ func (b *Backend) ConfigureLiveness(heartbeat, suspectAfter time.Duration) {
 // corpse's own waits abort rather than spin); a killed peer is
 // reported down once the group's detection delay elapses.
 func (b *Backend) PeerHealth(rank int) core.PeerHealth {
-	if b.group != nil && rank != b.inner.Rank() {
-		if b.group.Killed(b.inner.Rank()) {
+	if b.group != nil && rank != b.Rank() {
+		if b.group.Killed(b.Rank()) {
 			return core.PeerDown
 		}
 		if _, detected := b.group.status(rank); detected {
@@ -369,7 +382,7 @@ func (b *Backend) PeerHealth(rank int) core.PeerHealth {
 	if crashed {
 		return core.PeerDown
 	}
-	if hb, ok := b.inner.(core.HealthBackend); ok {
+	if hb, ok := b.Backend.(core.HealthBackend); ok {
 		return hb.PeerHealth(rank)
 	}
 	return core.PeerHealthy

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,18 +21,21 @@ import (
 type fakeBackend struct {
 	mu     sync.Mutex
 	writes [][]byte
-	comps  []core.BackendCompletion
+	act    atomic.Uint64
+	compq  *core.CompQueue
 }
+
+func newFakeBackend() *fakeBackend { return &fakeBackend{compq: core.NewCompQueue()} }
 
 func (f *fakeBackend) Rank() int { return 0 }
 func (f *fakeBackend) Size() int { return 2 }
 func (f *fakeBackend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
 	return mem.RemoteBuffer{}, nil, nil
 }
-func (f *fakeBackend) Deregister(mem.RemoteBuffer) error            { return nil }
-func (f *fakeBackend) ApplyLocal(uint64, uint32, []byte) error      { return nil }
-func (f *fakeBackend) Exchange(local []byte) ([][]byte, error)      { return [][]byte{local}, nil }
-func (f *fakeBackend) Close() error                                 { return nil }
+func (f *fakeBackend) Deregister(mem.RemoteBuffer) error                  { return nil }
+func (f *fakeBackend) ApplyLocal(uint64, uint32, []byte) error            { return nil }
+func (f *fakeBackend) Exchange(local []byte) ([][]byte, error)            { return [][]byte{local}, nil }
+func (f *fakeBackend) Close() error                                       { return nil }
 func (f *fakeBackend) PostRead(int, []byte, uint64, uint32, uint64) error { return nil }
 func (f *fakeBackend) PostFetchAdd(int, []byte, uint64, uint32, uint64, uint64) error {
 	return nil
@@ -44,16 +48,22 @@ func (f *fakeBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint3
 	f.mu.Lock()
 	f.writes = append(f.writes, append([]byte(nil), local...))
 	f.mu.Unlock()
+	f.act.Add(1)
+	f.compq.Kick()
 	return nil
 }
 
-func (f *fakeBackend) Poll(dst []core.BackendCompletion) int {
-	f.mu.Lock()
-	n := copy(dst, f.comps)
-	f.comps = f.comps[n:]
-	f.mu.Unlock()
-	return n
+func (f *fakeBackend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
+	for _, r := range reqs {
+		f.PostWrite(rank, r.Local, r.RemoteAddr, r.RKey, r.Token, r.Signaled)
+	}
+	return len(reqs), nil
 }
+
+func (f *fakeBackend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) { return f.act.Load, true }
+func (f *fakeBackend) Notify() <-chan struct{}                              { return f.compq.Wake().Chan() }
+func (f *fakeBackend) SetWakeSink(fn func())                                { f.compq.Wake().SetSink(fn) }
+func (f *fakeBackend) Poll(dst []core.BackendCompletion) int                { return f.compq.Drain(dst) }
 
 func (f *fakeBackend) writeCount() int {
 	f.mu.Lock()
@@ -65,7 +75,7 @@ func (f *fakeBackend) writeCount() int {
 // faults — the property that makes a failing chaos run replayable.
 func TestChaosDeterministic(t *testing.T) {
 	run := func() (chaos.Stats, int) {
-		fake := &fakeBackend{}
+		fake := newFakeBackend()
 		b := chaos.Wrap(fake, chaos.Plan{Seed: 99, DropProb: 0.2, DelayProb: 0.2, DupProb: 0.2, DelayPolls: 2})
 		buf := []byte{0}
 		for i := 0; i < 500; i++ {
@@ -92,7 +102,7 @@ func TestChaosDeterministic(t *testing.T) {
 // A delayed write must carry a private copy of the payload: the
 // caller is free to recycle its buffer the moment PostWrite returns.
 func TestChaosDelaySnapshotsPayload(t *testing.T) {
-	fake := &fakeBackend{}
+	fake := newFakeBackend()
 	b := chaos.Wrap(fake, chaos.Plan{Seed: 1, DelayProb: 1.0, DelayPolls: 3})
 	buf := []byte{42}
 	if err := b.PostWrite(1, buf, 0, 0, 1, true); err != nil {

@@ -22,13 +22,19 @@ import (
 // and reports every peer down, so the victim's collective also aborts
 // promptly instead of spinning — its error is simply not asserted on.
 //
+// Like a transport's failure detector declaring a peer down, each
+// transition is an engine event: the kill and, once the delay has
+// passed, its detection kick every member's wake sink, so parked
+// waiters re-check peer health at once.
+//
 // Kill latches are terminal, matching the engine's health machine.
 type Group struct {
 	detectNS int64
 
 	//photon:lock chaosgroup 12
-	mu   sync.Mutex
-	dead map[int]int64 // rank -> kill wall-clock UnixNano (first kill wins)
+	mu      sync.Mutex
+	dead    map[int]int64 // rank -> kill wall-clock UnixNano (first kill wins)
+	members []*Backend    // WrapGroup backends, woken on kill and detection
 }
 
 // NewGroup builds a group whose kills become detectable after detect.
@@ -42,10 +48,30 @@ func NewGroup(detect time.Duration) *Group {
 func (g *Group) Kill(rank int) {
 	now := time.Now().UnixNano()
 	g.mu.Lock()
-	if _, dup := g.dead[rank]; !dup {
+	_, dup := g.dead[rank]
+	if !dup {
 		g.dead[rank] = now
 	}
 	g.mu.Unlock()
+	if !dup {
+		g.wakeAll()
+		time.AfterFunc(time.Duration(g.detectNS), g.wakeAll)
+	}
+}
+
+// wakeAll kicks every member's wake sink.
+func (g *Group) wakeAll() {
+	g.mu.Lock()
+	members := append([]*Backend(nil), g.members...)
+	g.mu.Unlock()
+	for _, b := range members {
+		b.mu.Lock()
+		wake := b.wake
+		b.mu.Unlock()
+		if wake != nil {
+			wake()
+		}
+	}
 }
 
 // Killed reports whether rank has been killed (regardless of whether
@@ -78,10 +104,10 @@ func (g *Group) status(rank int) (dead, detected bool) {
 	return true, time.Now().UnixNano() >= ns+g.detectNS
 }
 
-// Trigger state on Backend: deterministic crash/partition at the Nth
-// posted write from this rank. Counters are atomics so concurrent
-// shard posters race benignly — the trigger fires exactly once, on
-// whichever post crosses zero.
+// Trigger state on Backend: deterministic crash at the Nth posted
+// write from this rank. The counter is an atomic so concurrent shard
+// posters race benignly — the trigger fires exactly once, on whichever
+// post crosses zero.
 
 // CrashAfterOps arms self-death at the n-th PostWrite from this rank
 // (n >= 1). Requires a group (WrapGroup); firing latches this rank
@@ -90,24 +116,12 @@ func (b *Backend) CrashAfterOps(n int) {
 	b.crashIn.Store(int64(n))
 }
 
-// PartitionAfterOps arms a one-way partition toward peer at the n-th
-// PostWrite from this rank (n >= 1) — the mid-round network-split
-// trigger. Unlike a crash it is local to this side and silent: posts
-// claim success and vanish.
-func (b *Backend) PartitionAfterOps(n int, peer int) {
-	b.partPeer.Store(int64(peer))
-	b.partIn.Store(int64(n))
-}
-
-// tick advances the armed op-count triggers by one posted write.
+// tick advances the armed op-count trigger by one posted write.
 func (b *Backend) tick() {
 	if b.crashIn.Load() > 0 && b.crashIn.Add(-1) == 0 {
 		if b.group != nil {
-			b.group.Kill(b.inner.Rank())
+			b.group.Kill(b.Rank())
 		}
-	}
-	if b.partIn.Load() > 0 && b.partIn.Add(-1) == 0 {
-		b.Partition(int(b.partPeer.Load()), true)
 	}
 }
 
@@ -119,7 +133,7 @@ func (b *Backend) groupGate(rank int) (drop bool, err error) {
 	if b.group == nil {
 		return false, nil
 	}
-	self := b.inner.Rank()
+	self := b.Rank()
 	if rank == self {
 		return false, nil
 	}

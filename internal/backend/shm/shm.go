@@ -28,7 +28,6 @@ package shm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,34 +41,11 @@ import (
 // so there is nothing to tune yet.
 type Config struct{}
 
-// atomicLen is the size and alignment of the word every fetch-add and
-// comp-swap acts on, and the size its result buffer must hold.
-const atomicLen = 8
-
-var errMisaligned = errors.New("shm: misaligned atomic")
-
-// registration is one pinned buffer in the fake address space (same
-// scheme as the TCP backend: page-aligned bases handed out linearly,
-// rkey-keyed).
-type registration struct {
-	buf  []byte
-	base uint64
-	rkey uint32
-}
-
-// Cluster owns one shm backend per rank plus the bootstrap exchange
-// state. All ranks live in the calling process.
+// Cluster owns one shm backend per rank plus the bootstrap exchange.
+// All ranks live in the calling process.
 type Cluster struct {
 	backends []*Backend
-
-	//photon:lock shmcluster 10
-	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     int
-	arrived int
-	blobs   [][]byte
-	outs    map[int][][]byte
-	readers map[int]int
+	exg      *core.Allgather
 }
 
 // NewCluster creates an n-rank shared-memory job.
@@ -77,23 +53,9 @@ func NewCluster(n int, cfg Config) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shm: cluster size %d", n)
 	}
-	c := &Cluster{
-		backends: make([]*Backend, n),
-		blobs:    make([][]byte, n),
-		outs:     make(map[int][][]byte),
-		readers:  make(map[int]int),
-	}
-	c.cond = sync.NewCond(&c.mu)
+	c := &Cluster{backends: make([]*Backend, n), exg: core.NewAllgather(n)}
 	for r := 0; r < n; r++ {
-		c.backends[r] = &Backend{
-			cluster:  c,
-			rank:     r,
-			size:     n,
-			regs:     make(map[uint32]*registration),
-			nextRKey: 1,
-			nextBase: 0x1000,
-			compq:    core.NewCompQueue(),
-		}
+		c.backends[r] = &Backend{cluster: c, rank: r, size: n, compq: core.NewCompQueue()}
 	}
 	return c, nil
 }
@@ -113,56 +75,19 @@ func (c *Cluster) Close() {
 	}
 }
 
-// exchange implements the collective allgather barrier (same protocol
-// as the vsim cluster: arrive, last rank publishes, everyone reads).
-func (c *Cluster) exchange(rank int, blob []byte) ([][]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	gen := c.gen
-	c.blobs[rank] = append([]byte(nil), blob...)
-	c.arrived++
-	n := len(c.backends)
-	if c.arrived == n {
-		out := make([][]byte, n)
-		copy(out, c.blobs)
-		c.outs[gen] = out
-		c.readers[gen] = n
-		c.blobs = make([][]byte, n)
-		c.arrived = 0
-		c.gen++
-		c.cond.Broadcast()
-	} else {
-		for c.gen == gen {
-			c.cond.Wait()
-		}
-	}
-	out := c.outs[gen]
-	c.readers[gen]--
-	if c.readers[gen] == 0 {
-		delete(c.outs, gen)
-		delete(c.readers, gen)
-	}
-	return out, nil
-}
-
 // Backend is one rank's shared-memory transport endpoint.
 type Backend struct {
 	cluster *Cluster
 	rank    int
 	size    int
 
-	// memMu guards registered memory (the "DMA lock"). Initiators take
-	// it, on the target's Backend, for the duration of each copy.
-	//photon:lock shmmem 30
-	memMu    sync.RWMutex
-	writeAct atomic.Uint64 // bumped after every applied write/atomic
-	regs     map[uint32]*registration
-	nextRKey uint32
-	nextBase uint64
+	// dom is this rank's registered memory. Initiators apply their ops
+	// to the target's domain, under its memory lock, for the duration
+	// of each copy.
+	dom mem.Domain
 
 	// compq carries completions to this rank's engine and doubles as
-	// its NotifyBackend/WakeSinkBackend event source: initiators kick
-	// it when data lands here.
+	// its wake source: initiators kick it when data lands here.
 	compq  *core.CompQueue
 	closed atomic.Bool
 
@@ -175,12 +100,8 @@ type Backend struct {
 }
 
 var (
-	_ core.Backend         = (*Backend)(nil)
-	_ core.BatchBackend    = (*Backend)(nil)
-	_ core.NotifyBackend   = (*Backend)(nil)
-	_ core.WakeSinkBackend = (*Backend)(nil)
-	_ core.ActivityBackend = (*Backend)(nil)
-	_ core.StatsBackend    = (*Backend)(nil)
+	_ core.Backend      = (*Backend)(nil)
+	_ core.StatsBackend = (*Backend)(nil)
 )
 
 // Rank returns this endpoint's rank.
@@ -189,73 +110,24 @@ func (b *Backend) Rank() int { return b.rank }
 // Size returns the job size.
 func (b *Backend) Size() int { return b.size }
 
-// Register pins buf into the local registration table.
+// Register pins buf into this rank's memory domain.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	if len(buf) == 0 {
-		return mem.RemoteBuffer{}, nil, fmt.Errorf("shm: empty registration")
-	}
-	b.memMu.Lock()
-	defer b.memMu.Unlock()
-	rkey := b.nextRKey
-	b.nextRKey++
-	base := b.nextBase
-	sz := (uint64(len(buf)) + 0xFFF) &^ uint64(0xFFF)
-	b.nextBase += sz + 0x1000
-	b.regs[rkey] = &registration{buf: buf, base: base, rkey: rkey}
-	return mem.RemoteBuffer{Addr: base, RKey: rkey, Len: len(buf)}, b.memMu.RLocker(), nil
+	return b.dom.Register(buf)
 }
 
 // Deregister removes a registration.
-func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
-	b.memMu.Lock()
-	defer b.memMu.Unlock()
-	if _, ok := b.regs[rb.RKey]; !ok {
-		return fmt.Errorf("shm: no registration with rkey %d", rb.RKey)
-	}
-	delete(b.regs, rb.RKey)
-	return nil
-}
-
-// lookup resolves (rkey, addr, n) to the bytes it names; caller must
-// hold memMu.
-func (b *Backend) lookup(rkey uint32, addr uint64, n int) ([]byte, error) {
-	r, ok := b.regs[rkey]
-	if !ok {
-		return nil, fmt.Errorf("shm: unknown rkey %d", rkey)
-	}
-	if addr < r.base || addr+uint64(n) > r.base+uint64(len(r.buf)) || addr+uint64(n) < addr {
-		return nil, fmt.Errorf("shm: address out of registration bounds")
-	}
-	off := addr - r.base
-	return r.buf[off : off+uint64(n)], nil
-}
-
-// copyIn copies data into this rank's registered memory at
-// (raddr, rkey) under the memory lock.
-func (b *Backend) copyIn(raddr uint64, rkey uint32, data []byte) error {
-	b.memMu.Lock()
-	dst, err := b.lookup(rkey, raddr, len(data))
-	if err == nil {
-		copy(dst, data)
-	}
-	b.memMu.Unlock()
-	return err
-}
+func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.dom.Deregister(rb) }
 
 // ApplyLocal performs a loopback DMA write into this rank's own
 // registered memory with full validation.
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	err := b.copyIn(raddr, rkey, data)
-	if err == nil {
-		b.writeAct.Add(1)
-	}
-	return err
+	return b.dom.Write(raddr, rkey, data)
 }
 
-// WriteActivity implements core.ActivityBackend with one counter for
-// all registrations (every applied write and atomic bumps it).
+// WriteActivity returns the domain's write-activity loader (one
+// counter for all registrations).
 func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
-	return b.writeAct.Load, true
+	return b.dom.WriteActivity(rb)
 }
 
 // Poll reaps completions.
@@ -263,11 +135,11 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 	return b.compq.Drain(dst)
 }
 
-// Notify implements core.NotifyBackend: signaled when a completion is
+// Notify returns the wake channel: signaled when a completion is
 // queued or remote data lands in registered memory.
 func (b *Backend) Notify() <-chan struct{} { return b.compq.Wake().Chan() }
 
-// SetWakeSink implements core.WakeSinkBackend.
+// SetWakeSink redirects wake events to fn.
 func (b *Backend) SetWakeSink(fn func()) { b.compq.Wake().SetSink(fn) }
 
 // TransportStats implements core.StatsBackend. The frame gauges count
@@ -288,7 +160,7 @@ func (b *Backend) ClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 
 // Exchange performs the collective bootstrap allgather.
 func (b *Backend) Exchange(local []byte) ([][]byte, error) {
-	return b.cluster.exchange(b.rank, local)
+	return b.cluster.exg.Exchange(b.rank, local), nil
 }
 
 // Close releases the endpoint: later posts from it fail with
@@ -323,10 +195,9 @@ func (b *Backend) applied(t *Backend, n int) {
 	t.bytesIn.Add(int64(n))
 }
 
-// landed publishes a write or atomic that changed t's memory: the
-// activity count lets t's engine sweep its ledgers.
+// landed records the trace link of a write or atomic that changed t's
+// memory (the domain already bumped t's activity count).
 func (b *Backend) landed(t *Backend, token uint64) {
-	t.writeAct.Add(1)
 	trace.RecordLink(trace.KindWire, t.rank, b.rank, token, 0, "shm.apply")
 }
 
@@ -346,8 +217,8 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 	return nil
 }
 
-// PostWriteBatch implements core.BatchBackend: every write lands before
-// one wake of the target's engine.
+// PostWriteBatch lands every write before one wake of the target's
+// engine.
 func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	t, err := b.target(rank)
 	if err != nil {
@@ -366,7 +237,7 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 
 // write copies local into t's memory at (raddr, rkey).
 func (b *Backend) write(t *Backend, local []byte, raddr uint64, rkey uint32, token uint64) error {
-	err := t.copyIn(raddr, rkey, local)
+	err := t.dom.Write(raddr, rkey, local)
 	b.applied(t, len(local))
 	if err == nil {
 		b.landed(t, token)
@@ -381,12 +252,7 @@ func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, to
 	if err != nil {
 		return err
 	}
-	t.memMu.RLock()
-	src, err := t.lookup(rkey, raddr, len(local))
-	if err == nil {
-		copy(local, src)
-	}
-	t.memMu.RUnlock()
+	err = t.dom.Read(local, raddr, rkey)
 	b.applied(t, len(local))
 	b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
 	return nil
@@ -410,30 +276,18 @@ func (b *Backend) postAtomic(rank int, result []byte, raddr uint64, rkey uint32,
 	if err != nil {
 		return err
 	}
-	if len(result) < atomicLen {
+	if len(result) < mem.AtomicLen {
 		return fmt.Errorf("shm: atomic result buffer too small")
 	}
-	if raddr%atomicLen != 0 {
-		err = errMisaligned
+	var old uint64
+	if cswap {
+		old, err = t.dom.CompSwap(raddr, rkey, operand, swap)
 	} else {
-		t.memMu.Lock()
-		var w []byte
-		if w, err = t.lookup(rkey, raddr, atomicLen); err == nil {
-			old := binary.LittleEndian.Uint64(w)
-			nv := old + operand
-			if cswap {
-				nv = old
-				if old == operand {
-					nv = swap
-				}
-			}
-			binary.LittleEndian.PutUint64(w, nv)
-			binary.LittleEndian.PutUint64(result, old)
-		}
-		t.memMu.Unlock()
+		old, err = t.dom.FetchAdd(raddr, rkey, operand)
 	}
-	b.applied(t, atomicLen)
+	b.applied(t, mem.AtomicLen)
 	if err == nil {
+		binary.LittleEndian.PutUint64(result, old)
 		b.landed(t, token)
 	}
 	t.compq.Kick()

@@ -750,14 +750,8 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		if n > len(payload) {
 			n = len(payload)
 		}
-		b.memMu.Lock()
-		reg, err := b.lookup(rkey, raddr, n)
+		err := b.dom.Write(raddr, rkey, payload[:n])
 		if err == nil {
-			copy(reg.buf[raddr-reg.base:], payload[:n])
-		}
-		b.memMu.Unlock()
-		if err == nil {
-			b.writeAct.Add(1)
 			b.kick()
 		}
 		if !signaled {
@@ -797,13 +791,7 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		resp := make([]byte, 1+8+1+n)
 		resp[0] = opReadResp
 		binary.LittleEndian.PutUint64(resp[1:], token)
-		b.memMu.RLock()
-		reg, err := b.lookup(rkey, raddr, n)
-		if err == nil {
-			copy(resp[10:], reg.buf[raddr-reg.base:raddr-reg.base+uint64(n)])
-		}
-		b.memMu.RUnlock()
-		if err != nil {
+		if err := b.dom.Read(resp[10:], raddr, rkey); err != nil {
 			resp = resp[:10]
 			resp[9] = 1 // status: failed
 		}
@@ -903,29 +891,17 @@ func (b *Backend) handleAtomic(peer int, f []byte) {
 	resp := make([]byte, 1+8+1+8)
 	resp[0] = opAtomicResp
 	binary.LittleEndian.PutUint64(resp[1:], token)
-	b.memMu.Lock()
-	reg, err := b.lookup(rkey, raddr, 8)
-	if err == nil && raddr%8 != 0 {
-		err = fmt.Errorf("tcp: misaligned atomic")
+	var orig uint64
+	var err error
+	if f[0] == opCSwap {
+		orig, err = b.dom.CompSwap(raddr, rkey, operand, swap)
+	} else {
+		orig, err = b.dom.FetchAdd(raddr, rkey, operand)
 	}
-	if err == nil {
-		off := raddr - reg.base
-		orig := binary.LittleEndian.Uint64(reg.buf[off:])
-		switch f[0] {
-		case opFAdd:
-			binary.LittleEndian.PutUint64(reg.buf[off:], orig+operand)
-		case opCSwap:
-			if orig == operand {
-				binary.LittleEndian.PutUint64(reg.buf[off:], swap)
-			}
-		}
-		binary.LittleEndian.PutUint64(resp[10:], orig)
-	}
-	b.memMu.Unlock()
 	if err != nil {
 		resp[9] = 1
 	} else {
-		b.writeAct.Add(1)
+		binary.LittleEndian.PutUint64(resp[10:], orig)
 		b.kick()
 	}
 	b.reply(peer, resp)

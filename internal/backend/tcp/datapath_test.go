@@ -267,14 +267,15 @@ func TestTCPPipelinedStress(t *testing.T) {
 func TestTCPSlowReaderBackpressure(t *testing.T) {
 	bes := newBackendPair(t, Config{SendDepth: 8})
 	sink := make([]byte, 1<<20)
-	rb, _, err := bes[1].Register(sink)
+	rb, lk, err := bes[1].Register(sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Stall rank 1's reader: its next opWrite apply blocks on memMu.
-	bes[1].memMu.Lock()
-	release := time.AfterFunc(100*time.Millisecond, bes[1].memMu.Unlock)
+	// Stall rank 1's reader: its next opWrite apply blocks on the
+	// memory lock while the registration locker is held.
+	lk.Lock()
+	release := time.AfterFunc(100*time.Millisecond, lk.Unlock)
 	defer release.Stop()
 
 	const ops = 64

@@ -75,18 +75,6 @@ func (s *DataPathStats) add(c *connStats) {
 // FramesPerFlush reports how many frames each Write syscall carried.
 func (s DataPathStats) FramesPerFlush() float64 { return ratio(s.FramesOut, s.Flushes) }
 
-// BytesPerWrite reports the mean payload of each Write syscall.
-func (s DataPathStats) BytesPerWrite() float64 { return ratio(s.BytesOut, s.Flushes) }
-
-// BytesPerRead reports the mean fill of each Read syscall.
-func (s DataPathStats) BytesPerRead() float64 { return ratio(s.BytesIn, s.ReadCalls) }
-
-// AcksCoalesced reports acks that did not cost a dedicated frame:
-// everything conveyed minus the standalone frames that carried the rest.
-func (s DataPathStats) AcksCoalesced() int64 {
-	return s.AcksPiggybacked + s.AcksStandalone - s.AckFramesSent
-}
-
 // PiggybackRatio reports the fraction of conveyed acks that rode on
 // data-bearing flushes.
 func (s DataPathStats) PiggybackRatio() float64 {

@@ -28,15 +28,7 @@ type Cluster struct {
 	fab      *fabric.Fabric
 	ownsFab  bool
 	backends []*Backend
-
-	//photon:lock vsimcluster 10
-	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     int
-	arrived int
-	blobs   [][]byte
-	outs    map[int][][]byte
-	readers map[int]int
+	exg      *core.Allgather
 }
 
 // NewCluster creates n ranks over a fresh fabric with the given delay
@@ -56,13 +48,7 @@ func NewCluster(n int, fm fabric.Model, nc nicsim.Config) (*Cluster, error) {
 // fabric (which the caller continues to own).
 func NewClusterOver(fab *fabric.Fabric, nc nicsim.Config) (*Cluster, error) {
 	n := fab.NumNodes()
-	c := &Cluster{
-		fab:     fab,
-		blobs:   make([][]byte, n),
-		outs:    make(map[int][][]byte),
-		readers: make(map[int]int),
-	}
-	c.cond = sync.NewCond(&c.mu)
+	c := &Cluster{fab: fab, exg: core.NewAllgather(n)}
 	c.backends = make([]*Backend, n)
 	for r := 0; r < n; r++ {
 		dev, err := verbs.Open(fab, r, nc)
@@ -132,37 +118,6 @@ func (c *Cluster) Close() {
 	}
 }
 
-// exchange implements the collective allgather barrier.
-func (c *Cluster) exchange(rank int, blob []byte) ([][]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	gen := c.gen
-	c.blobs[rank] = append([]byte(nil), blob...)
-	c.arrived++
-	n := len(c.backends)
-	if c.arrived == n {
-		out := make([][]byte, n)
-		copy(out, c.blobs)
-		c.outs[gen] = out
-		c.readers[gen] = n
-		c.blobs = make([][]byte, n)
-		c.arrived = 0
-		c.gen++
-		c.cond.Broadcast()
-	} else {
-		for c.gen == gen {
-			c.cond.Wait()
-		}
-	}
-	out := c.outs[gen]
-	c.readers[gen]--
-	if c.readers[gen] == 0 {
-		delete(c.outs, gen)
-		delete(c.readers, gen)
-	}
-	return out, nil
-}
-
 // Backend is one rank's transport endpoint.
 type Backend struct {
 	cluster *Cluster
@@ -179,27 +134,21 @@ type Backend struct {
 	pollMu      sync.Mutex
 	pollScratch []verbs.CQE // reused across Poll calls (no per-call alloc)
 
-	// wake latches backend activity for NotifyBackend/WakeSinkBackend:
-	// kicked by the simulated NIC after every completion push and every
+	// wake latches backend activity for Notify/SetWakeSink: kicked by the simulated NIC after every completion push and every
 	// remote write applied to this rank's memory, so engine waiters
 	// park instead of yield-spinning.
 	wake *core.WakeChan
 }
 
-var (
-	_ core.Backend         = (*Backend)(nil)
-	_ core.BatchBackend    = (*Backend)(nil)
-	_ core.NotifyBackend   = (*Backend)(nil)
-	_ core.WakeSinkBackend = (*Backend)(nil)
-)
+var _ core.Backend = (*Backend)(nil)
 
-// Notify implements core.NotifyBackend: the returned channel receives
+// Notify returns the wake channel: it receives
 // a token whenever a completion is queued or remote data lands in
 // registered memory.
 func (b *Backend) Notify() <-chan struct{} { return b.wake.Chan() }
 
-// SetWakeSink implements core.WakeSinkBackend: redirect activity
-// events to fn instead of the Notify channel.
+// SetWakeSink redirects activity events to fn instead of the Notify
+// channel.
 func (b *Backend) SetWakeSink(fn func()) { b.wake.SetSink(fn) }
 
 // Rank returns this backend's rank.
@@ -268,7 +217,7 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 }
 
 // PostWriteBatch posts a burst of writes toward rank with one call
-// (core.BatchBackend). Requests go to the same QP in order; posting
+// doorbell-style. Requests go to the same QP in order; posting
 // stops at the first rejection and the accepted count is returned —
 // the QP's post path snapshots each payload, so this behaves exactly
 // like a doorbell covering the whole chain.
@@ -328,8 +277,7 @@ func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
 	return b.dev.NIC().LocalWrite(raddr, rkey, data)
 }
 
-// WriteActivity exposes the registration's DMA write counter
-// (core.ActivityBackend).
+// WriteActivity exposes the registration's DMA write counter.
 func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
 	b.mrMu.Lock()
 	mr, ok := b.mrs[rb.Addr]
@@ -373,7 +321,7 @@ func (b *Backend) ClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 
 // Exchange performs the collective bootstrap allgather.
 func (b *Backend) Exchange(local []byte) ([][]byte, error) {
-	return b.cluster.exchange(b.rank, local)
+	return b.cluster.exg.Exchange(b.rank, local), nil
 }
 
 // closeLocal tears down this rank's device without touching the

@@ -364,8 +364,6 @@ func (c *Comm) sendNB(dst int, data []byte, localRID, remoteRID uint64) error {
 		}
 		if c.ph.Progress() == 0 {
 			c.w.Idle()
-		} else {
-			c.w.Progressed()
 		}
 	}
 }
@@ -385,8 +383,6 @@ func (c *Comm) putNB(dst int, data []byte, rb mem.RemoteBuffer, off uint64, loca
 		}
 		if c.ph.Progress() == 0 {
 			c.w.Idle()
-		} else {
-			c.w.Progressed()
 		}
 	}
 }

@@ -75,15 +75,6 @@ type HealthBackend interface {
 	PeerHealth(rank int) PeerHealth
 }
 
-// ActivityBackend is an optional Backend extension: WriteActivity
-// returns a loader for a monotonic count of remote writes applied to a
-// registration. The progress engine uses it as a DMA event counter —
-// ledger rings are swept only when the count has moved, so an idle or
-// spinning poller never contends with the transport's memory lock.
-type ActivityBackend interface {
-	WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool)
-}
-
 // BackendCompletion reports one finished backend operation to the
 // Photon engine. Token is the value the engine passed when posting.
 type BackendCompletion struct {
@@ -93,12 +84,15 @@ type BackendCompletion struct {
 }
 
 // Backend is the transport Photon runs over: one-sided operations plus
-// registered memory and an out-of-band bootstrap exchange. Three
-// transports implement it: backend/vsim (simulated IB verbs over the
-// in-process fabric), backend/tcp (real sockets, one-sided ops
-// emulated by a remote agent) and backend/shm (same-address-space
-// peers; the initiator applies each op itself) — mirroring the
-// original's verbs / uGNI / libfabric / TCP / CMA backend set.
+// registered memory, an out-of-band bootstrap exchange, and the event
+// plumbing the progress engine paces itself by. Three transports
+// implement it: backend/vsim (simulated IB verbs over the in-process
+// fabric), backend/tcp (real sockets, one-sided ops emulated by a
+// remote agent) and backend/shm (same-address-space peers; the
+// initiator applies each op itself) — mirroring the original's verbs /
+// uGNI / libfabric / TCP / CMA backend set. Every method is required;
+// liveness, clock offsets and transport counters are the only optional
+// extensions (HealthBackend, ClockBackend, StatsBackend).
 //
 // Semantics the engine relies on:
 //
@@ -116,14 +110,21 @@ type BackendCompletion struct {
 //     sync.Locker Register returns). Two ranks posting toward each
 //     other while each holds its own locker would each wait for the
 //     other's lock. Read under the locker, release it, then post.
-//   - PostWrite snapshots local before returning (the doorbell-DMA
-//     model): once PostWrite returns nil the caller may immediately
-//     reuse or recycle local. PostRead and the atomics are the
-//     opposite — local is the result destination and stays owned by
-//     the backend until the operation's completion is reported.
+//   - PostWrite and PostWriteBatch snapshot local before returning (the
+//     doorbell-DMA model): once the post returns nil the caller may
+//     immediately reuse or recycle local. PostRead and the atomics are
+//     the opposite — local is the result destination and stays owned
+//     by the backend until the operation's completion is reported.
 //     The engine's entry-buffer pool relies on this to recycle
 //     scratch buffers at post time rather than completion time.
+//   - Every event that may make engine progress possible — a
+//     completion queued for Poll, remote data landing in registered
+//     memory — kicks the wake sink (or, before one is installed, the
+//     Notify channel), and every applied remote write or atomic
+//     advances the WriteActivity count before that kick.
 type Backend interface {
+	NotifyBackend
+
 	// Rank and Size identify this process in the job.
 	Rank() int
 	Size() int
@@ -135,10 +136,25 @@ type Backend interface {
 	Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error)
 	// Deregister releases a registration by its descriptor.
 	Deregister(rb mem.RemoteBuffer) error
+	// WriteActivity returns a loader for a monotonic count of remote
+	// writes and atomics applied to the registration rb (ok is false
+	// when rb is not registered). The engine uses it as a DMA event
+	// counter: ledger rings are swept only when the count has moved,
+	// so an idle or spinning poller never contends with the
+	// transport's memory lock.
+	WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool)
 
 	// PostWrite starts a one-sided write of local into rank's memory
 	// at (raddr, rkey). If signaled, Poll later reports token.
 	PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error
+	// PostWriteBatch posts a burst of writes toward one rank with a
+	// single doorbell-style call. Requests are posted in order; the
+	// call stops at the first request that cannot be posted and
+	// returns how many were accepted (the error, if any, describes the
+	// first failure). A short count with a nil or ErrWouldBlock error
+	// means the caller should retry the tail later, exactly like a
+	// per-op ErrWouldBlock.
+	PostWriteBatch(rank int, reqs []WriteReq) (int, error)
 	// PostRead starts a one-sided read from rank's memory into local;
 	// always signaled.
 	PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error
@@ -158,6 +174,14 @@ type Backend interface {
 	// Poll reaps pending backend completions into dst, returning the
 	// count. It must not block.
 	Poll(dst []BackendCompletion) int
+	// SetWakeSink redirects the backend's activity events from the
+	// Notify channel to a direct call of fn on the event-producing
+	// goroutine. The engine installs its fan-out here, so one backend
+	// event wakes every shard runner and every parked waiter with no
+	// scheduler hop in between. fn is treated exactly like a channel
+	// kick: non-blocking, callable from any goroutine, coalescing.
+	// Backends built on WakeChan get this for free.
+	SetWakeSink(fn func())
 
 	// Exchange is the out-of-band bootstrap allgather: every rank
 	// contributes a blob and receives all blobs indexed by rank. It
@@ -168,9 +192,9 @@ type Backend interface {
 	Close() error
 }
 
-// WriteReq is one element of a batched write post (see BatchBackend).
-// Fields mirror PostWrite's parameters; the same snapshot-at-post
-// buffer contract applies to Local.
+// WriteReq is one element of a PostWriteBatch. Fields mirror
+// PostWrite's parameters; the same snapshot-at-post buffer contract
+// applies to Local.
 type WriteReq struct {
 	Local      []byte
 	RemoteAddr uint64
@@ -179,47 +203,15 @@ type WriteReq struct {
 	Signaled   bool
 }
 
-// BatchBackend is an optional Backend extension: PostWriteBatch posts
-// a burst of writes toward one rank with a single doorbell-style call,
-// saving per-op dispatch overhead. Requests are posted in order; the
-// call stops at the first request that cannot be posted and returns
-// how many were accepted (the error, if any, describes the first
-// failure). A short count with a nil or ErrWouldBlock error means the
-// caller should retry the tail later, exactly like a per-op
-// ErrWouldBlock. The engine falls back to per-op PostWrite when the
-// backend does not implement this interface.
-type BatchBackend interface {
-	PostWriteBatch(rank int, reqs []WriteReq) (int, error)
-}
-
-// NotifyBackend is an optional Backend extension: Notify returns a
-// channel (capacity 1, signaled with non-blocking sends) that receives
-// a token whenever backend activity may have made engine progress
-// possible — a completion was queued for Poll, or remote data landed
-// in registered memory. Blocking waiters park on this channel instead
-// of sleep-polling Progress: the agent goroutine that produced the
-// event wakes them at goroutine-handoff latency, where a timer sleep
-// would round the wait up to kernel scheduler-tick granularity (~1ms
-// on HZ=1000 hosts). A single token can coalesce many events; waiters
-// must re-poll after every wakeup and never rely on one token per
-// event. Backends without edge-triggered events (in-process fabrics
-// whose delivery is driven by runnable goroutines) simply omit this
-// and waiters fall back to yield-then-sleep polling.
+// NotifyBackend is the event channel every Backend carries: Notify
+// returns a channel (capacity 1, signaled with non-blocking sends)
+// that receives a token whenever backend activity may have made engine
+// progress possible, until SetWakeSink redirects those events. A
+// single token can coalesce many events; consumers must re-poll after
+// every wakeup and never rely on one token per event. Raw-backend
+// harnesses that drive Poll without an engine park on it.
 type NotifyBackend interface {
 	Notify() <-chan struct{}
-}
-
-// WakeSinkBackend is an optional refinement of NotifyBackend:
-// SetWakeSink redirects the backend's activity events from the Notify
-// channel to a direct function call on the event-producing goroutine.
-// The engine installs its shard fan-out here so one backend event wakes
-// every shard runner and every parked waiter without a relay goroutine
-// consuming the Notify channel (which would add a scheduler hop to
-// every wakeup). The sink must be treated exactly like a channel kick:
-// non-blocking, callable from any goroutine, coalescing. Backends built
-// on WakeChan get this for free.
-type WakeSinkBackend interface {
-	SetWakeSink(fn func())
 }
 
 // ClockBackend is an optional Backend extension implemented by

@@ -47,6 +47,10 @@ func (p *Photon) initFaultPoll() {
 		poll = 1
 	}
 	p.faultPollNS = poll
+	p.parkFor = parkGrace
+	if poll > 0 && poll < int64(parkGrace) {
+		p.parkFor = time.Duration(poll)
+	}
 }
 
 // pollFaults is the Progress-driven fault sweep: peer health

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"photon/internal/core"
 	"photon/internal/mem"
@@ -19,10 +20,10 @@ type loopBackend struct {
 	nextRKey uint32
 	nextBase uint64
 
-	// comps is a fixed ring of pending completions (no allocation on
-	// the post path).
-	comps      [4096]core.BackendCompletion
-	head, tail int
+	// compq queues completions and carries the wake events; act counts
+	// applied writes and atomics (WriteActivity).
+	compq *core.CompQueue
+	act   atomic.Uint64
 
 	// captureTokens, when set, records signaled tokens instead of
 	// completing them (the test injects completions itself).
@@ -36,7 +37,7 @@ type loopReg struct {
 }
 
 func newLoopBackend() *loopBackend {
-	return &loopBackend{regs: make(map[uint32]*loopReg), nextRKey: 1, nextBase: 0x1000}
+	return &loopBackend{regs: make(map[uint32]*loopReg), nextRKey: 1, nextBase: 0x1000, compq: core.NewCompQueue()}
 }
 
 func (l *loopBackend) Rank() int { return 0 }
@@ -72,14 +73,14 @@ func (l *loopBackend) apply(raddr uint64, rkey uint32, data []byte) error {
 		return core.ErrTooLarge
 	}
 	copy(r.buf[raddr-r.base:], data)
+	l.landed()
 	return nil
 }
 
-// pushLocked queues one completion; the ring is sized far beyond any
-// test's in-flight window.
-func (l *loopBackend) pushLocked(c core.BackendCompletion) {
-	l.comps[l.tail%len(l.comps)] = c
-	l.tail++
+// landed counts an applied write or atomic and wakes the engine.
+func (l *loopBackend) landed() {
+	l.act.Add(1)
+	l.compq.Kick()
 }
 
 func (l *loopBackend) complete(token uint64, signaled bool, err error) {
@@ -90,15 +91,11 @@ func (l *loopBackend) complete(token uint64, signaled bool, err error) {
 		l.tokens = append(l.tokens, token)
 		return
 	}
-	l.pushLocked(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
+	l.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
 }
 
 // inject queues a scripted completion (late/duplicate delivery tests).
-func (l *loopBackend) inject(c core.BackendCompletion) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.pushLocked(c)
-}
+func (l *loopBackend) inject(c core.BackendCompletion) { l.compq.Push(c) }
 
 func (l *loopBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
 	l.mu.Lock()
@@ -108,8 +105,7 @@ func (l *loopBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint3
 	return nil
 }
 
-// PostWriteBatch implements core.BatchBackend so tests and benchmarks
-// drive the same doorbell path the real backends take.
+// PostWriteBatch applies each request in order, like PostWrite.
 func (l *loopBackend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -146,6 +142,7 @@ func (l *loopBackend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey u
 		orig := leUint64(r.buf[off:])
 		putLeUint64(result, orig)
 		putLeUint64(r.buf[off:], orig+add)
+		l.landed()
 	}
 	l.complete(token, true, err)
 	return nil
@@ -165,6 +162,7 @@ func (l *loopBackend) PostCompSwap(rank int, result []byte, raddr uint64, rkey u
 		if orig == compare {
 			putLeUint64(r.buf[off:], swap)
 		}
+		l.landed()
 	}
 	l.complete(token, true, err)
 	return nil
@@ -176,17 +174,10 @@ func (l *loopBackend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
 	return l.apply(raddr, rkey, data)
 }
 
-func (l *loopBackend) Poll(dst []core.BackendCompletion) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for l.head < l.tail && n < len(dst) {
-		dst[n] = l.comps[l.head%len(l.comps)]
-		l.head++
-		n++
-	}
-	return n
-}
+func (l *loopBackend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) { return l.act.Load, true }
+func (l *loopBackend) Notify() <-chan struct{}                              { return l.compq.Wake().Chan() }
+func (l *loopBackend) SetWakeSink(fn func())                                { l.compq.Wake().SetSink(fn) }
+func (l *loopBackend) Poll(dst []core.BackendCompletion) int                { return l.compq.Drain(dst) }
 
 func (l *loopBackend) Exchange(local []byte) ([][]byte, error) {
 	return [][]byte{append([]byte(nil), local...)}, nil

@@ -498,8 +498,7 @@ func (p *Photon) parkWire(ps *peerState, w wireOp) {
 }
 
 // postPair posts two ordered writes toward one rank — the direct-put
-// data+notification pair — as a single doorbell batch when the backend
-// supports batching, falling back to sequential posts otherwise. FIFO
+// data+notification pair — as a single doorbell batch. FIFO
 // with already-parked work is preserved: if the peer has a deferred
 // backlog both writes join its tail.
 //
@@ -513,16 +512,11 @@ func (p *Photon) postPair(ps *peerState, rank int, a, b wireOp) {
 		p.parkWire(ps, b)
 		return
 	}
-	if p.bbe == nil {
-		p.postOrPark(ps, rank, a.local, a.raddr, a.rkey, a.token, a.signaled, a.pooled)
-		p.postOrPark(ps, rank, b.local, b.raddr, b.rkey, b.token, b.signaled, b.pooled)
-		return
-	}
 	rp := p.reqPool.Get().(*[]WriteReq)
 	reqs := append((*rp)[:0],
 		WriteReq{Local: a.local, RemoteAddr: a.raddr, RKey: a.rkey, Token: a.token, Signaled: a.signaled},
 		WriteReq{Local: b.local, RemoteAddr: b.raddr, RKey: b.rkey, Token: b.token, Signaled: b.signaled})
-	n, err := p.bbe.PostWriteBatch(rank, reqs)
+	n, err := p.be.PostWriteBatch(rank, reqs)
 	reqs[0], reqs[1] = WriteReq{}, WriteReq{}
 	*rp = reqs[:0]
 	p.reqPool.Put(rp)
@@ -559,8 +553,6 @@ func (p *Photon) PutBlocking(rank int, local []byte, dst mem.RemoteBuffer, off u
 		}
 		if p.Progress() == 0 {
 			w.wait()
-		} else {
-			w.progressed()
 		}
 	}
 }
@@ -576,8 +568,6 @@ func (p *Photon) SendBlocking(rank int, data []byte, localRID, remoteRID uint64)
 		}
 		if p.Progress() == 0 {
 			w.wait()
-		} else {
-			w.progressed()
 		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"photon/internal/flight"
 	"photon/internal/ledger"
@@ -239,7 +240,6 @@ type peerState struct {
 // Photon is one rank's middleware instance.
 type Photon struct {
 	be   Backend
-	bbe  BatchBackend // be's batch extension, nil when unsupported
 	cfg  Config
 	rank int
 	size int
@@ -248,9 +248,7 @@ type Photon struct {
 	arenaRB mem.RemoteBuffer
 	//photon:lock arena 30
 	arenaLk  sync.Locker
-	activity func() uint64   // arena DMA write counter (nil if unsupported)
-	beWake   <-chan struct{} // backend activity channel (nil if unsupported)
-	lastAct  uint64          // counter value at last ledger sweep (progMu)
+	activity func() uint64 // arena DMA write counter
 	mailOff  int
 	slabOff  int
 	slab     *mem.Slab
@@ -281,7 +279,7 @@ type Photon struct {
 	shards []*engineShard
 
 	// nfy fans backend activity events out to shard runners and parked
-	// waiters (nil when the backend has no NotifyBackend).
+	// waiters.
 	nfy *notifier
 
 	// Background progress mode (StartProgress): one runner per shard.
@@ -305,8 +303,9 @@ type Photon struct {
 	hbe          HealthBackend
 	opTimeoutNS  int64
 	faultPollNS  int64
-	nextFaultNS  int64       // serialized by shard 0's mutex
-	faultScratch []pendingOp // reused by fault sweeps (shard 0 / Close)
+	nextFaultNS  int64         // serialized by shard 0's mutex
+	parkFor      time.Duration // dry waiters and runners park this long at most
+	faultScratch []pendingOp   // reused by fault sweeps (shard 0 / Close)
 
 	suspectTransitions atomic.Int64
 	opsTimedOut        atomic.Int64
@@ -349,7 +348,6 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 		rdzvSends:  make(map[uint64]rdzvSend),
 		nextRdzvID: 1,
 	}
-	p.bbe, _ = be.(BatchBackend)
 	p.recvs.init()
 	p.initObs(&cfg)
 	p.reqPool.New = func() any {
@@ -376,14 +374,11 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 	}
 	p.arenaRB = rb
 	p.arenaLk = lk
-	if ab, ok := be.(ActivityBackend); ok {
-		if fn, ok := ab.WriteActivity(rb); ok {
-			p.activity = fn
-		}
+	act, ok := be.WriteActivity(rb)
+	if !ok {
+		return nil, fmt.Errorf("photon: backend has no write-activity count for the arena")
 	}
-	if nb, ok := be.(NotifyBackend); ok {
-		p.beWake = nb.Notify()
-	}
+	p.activity = act
 	if hb, ok := be.(HealthBackend); ok && cfg.HeartbeatInterval > 0 {
 		hb.ConfigureLiveness(cfg.HeartbeatInterval, cfg.SuspectAfter)
 		p.hbe = hb
@@ -558,13 +553,10 @@ func (p *Photon) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	// Stop the notifier relay (if any) and nudge every shard runner so
-	// background progress observes closed promptly, then wait the
-	// runners out — a runner inside progressShard holds its shard
-	// mutex, which the drain below must be able to take.
-	if p.nfy != nil {
-		close(p.nfy.stop)
-	}
+	// Nudge every shard runner so background progress observes closed
+	// promptly, then wait the runners out — a runner inside
+	// progressShard holds its shard mutex, which the drain below must
+	// be able to take.
 	for _, s := range p.shards {
 		s.kick()
 	}

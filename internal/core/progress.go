@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	gort "runtime"
 	"time"
 
 	"photon/internal/errs"
@@ -30,8 +29,8 @@ const maxInt = int(^uint(0) >> 1)
 // progress model. With EngineShards > 1, concurrent callers (or the
 // StartProgress runners) drive distinct shards genuinely in parallel.
 //
-// When the backend exposes a DMA write-activity counter, the ledger
-// sweep is skipped entirely while the counter is unchanged. A fully
+// The ledger sweep is skipped entirely while the backend's DMA
+// write-activity count for the arena is unchanged. A fully
 // idle round — no ledger activity, no parked work anywhere, no credits
 // owed — additionally skips the per-peer loop: a spinning prober then
 // costs two atomic loads per shard beyond the backend poll,
@@ -90,14 +89,9 @@ func (p *Photon) progressShard(s *engineShard) int {
 	if s.idx == 0 && p.faultPollNS != 0 {
 		n += p.pollFaults(s) //photon:allow lockorder -- fault sweep runs on shard 0 and takes the other shards' mutexes in ascending index order
 	}
-	sweep := true
-	if p.activity != nil {
-		if cur := p.activity(); cur != s.lastAct {
-			s.lastAct = cur
-		} else {
-			sweep = false
-		}
-	}
+	cur := p.activity()
+	sweep := cur != s.lastAct
+	s.lastAct = cur
 	if !sweep && s.parked.Load() == 0 && s.creditHintTotal.Load() == 0 {
 		if sample && n == 0 {
 			p.obs.reg.RecordPhase(metrics.PhaseIdle, nowNanos()-t0)
@@ -277,7 +271,7 @@ func (p *Photon) postEntryOrDefer(ps *peerState, class int, payload []byte) {
 // retryDeferred drains a peer's parked work in dependency-safe order:
 // first fully-specified wire writes (FIFO; slots already reserved),
 // then unreserved ledger entries, then queued inbound rendezvous.
-// Wire writes drain in doorbell batches when the backend supports it.
+// Wire writes drain in doorbell batches.
 func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 	if ps.deferred.Load() == 0 {
 		return 0
@@ -303,25 +297,23 @@ func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 
 		posted := 0
 		var perr error
-		if p.bbe != nil && k > 1 {
+		if k == 1 {
+			w := batch[0]
+			if perr = p.be.PostWrite(ps.rank, w.local, w.raddr, w.rkey, w.token, w.signaled); perr == nil {
+				posted = 1
+			}
+		} else {
 			reqs := s.reqScratch[:0]
 			for _, w := range batch {
 				reqs = append(reqs, WriteReq{Local: w.local, RemoteAddr: w.raddr, RKey: w.rkey, Token: w.token, Signaled: w.signaled})
 			}
-			posted, perr = p.bbe.PostWriteBatch(ps.rank, reqs)
+			posted, perr = p.be.PostWriteBatch(ps.rank, reqs)
 			for i := range reqs {
 				reqs[i] = WriteReq{}
 			}
 			if posted > 0 {
 				p.stats.batchPosts.Add(1)
 				p.stats.batchedOps.Add(int64(posted))
-			}
-		} else {
-			for _, w := range batch {
-				if perr = p.be.PostWrite(ps.rank, w.local, w.raddr, w.rkey, w.token, w.signaled); perr != nil {
-					break
-				}
-				posted++
 			}
 		}
 		if posted > 0 {
@@ -814,26 +806,25 @@ func (p *Photon) WaitRemote(rid uint64, timeout time.Duration) (Completion, erro
 // channel before re-polling. It bounds the staleness of the timeout
 // and Close checks, and backstops the (already lossless) notification
 // protocol; the common wakeup path is the channel send, which arrives
-// at goroutine-handoff latency.
+// at goroutine-handoff latency. An armed fault plane shortens it to
+// the sweep period (Photon.parkFor): the sweep is Progress-driven, and
+// a time-based health transition raises no backend event.
 const parkGrace = time.Millisecond
 
-// idleWaiter paces the dry rounds of a blocking wait loop. With a
-// NotifyBackend it subscribes a private capacity-1 channel to the
-// engine's notifier fan-out and parks on it: the agent that queues the
-// next completion (or applies the next remote write) wakes every
-// parked waiter directly, so the wait resolves at goroutine-handoff
-// latency and one waiter consuming a wake can never starve another
-// (each waiter holds its own latch — the fairness fix over a single
-// shared notify channel). This matters doubly on few-core hosts — a
+// idleWaiter paces the dry rounds of a blocking wait loop. It
+// subscribes a private capacity-1 channel to the engine's notifier
+// fan-out and parks on it: the agent that queues the next completion
+// (or applies the next remote write) wakes every parked waiter
+// directly, so the wait resolves at goroutine-handoff latency and one
+// waiter consuming a wake can never starve another (each waiter holds
+// its own latch — the fairness fix over a single shared notify
+// channel). This matters doubly on few-core hosts — a
 // parked waiter frees the processor for the runtime's network poller,
 // where a spinning one starves it, and a timer sleep would round every
 // blocking latency up to kernel scheduler-tick granularity (~1ms on
-// HZ=1000 hosts). Without a NotifyBackend it falls back to yield-then-
-// sleep polling, which suits in-process fabrics whose delivery runs on
-// goroutines a yield schedules.
+// HZ=1000 hosts).
 type idleWaiter struct {
 	p    *Photon
-	idle int           // consecutive dry rounds (fallback pacing)
 	park *time.Timer   // lazily created, reused across parks
 	ch   chan struct{} // private notifier subscription (recycled)
 }
@@ -843,7 +834,7 @@ type idleWaiter struct {
 // one wake token can coalesce many events, and timer wakeups carry no
 // information at all.
 func (w *idleWaiter) wait() {
-	if w.ch == nil && w.p.nfy != nil {
+	if w.ch == nil {
 		// First dry round: subscribe, then re-poll immediately — an
 		// event delivered before the subscription existed was never
 		// routed to this channel, so parking now could stall a wait
@@ -851,35 +842,19 @@ func (w *idleWaiter) wait() {
 		w.ch = w.p.nfy.subscribe()
 		return
 	}
-	if w.ch != nil {
-		if w.park == nil {
-			w.park = time.NewTimer(parkGrace)
-		} else {
-			w.park.Reset(parkGrace)
-		}
-		select {
-		case <-w.ch:
-			if !w.park.Stop() {
-				<-w.park.C
-			}
-		case <-w.park.C:
-		}
-		return
-	}
-	// Fallback: yield so transport goroutines can run; after a long
-	// dry stretch, sleep briefly so the processor can go idle and the
-	// runtime polls the network (a spinning waiter otherwise starves
-	// socket backends of netpoll service on single-core hosts).
-	w.idle++
-	if w.idle > 64 {
-		time.Sleep(5 * time.Microsecond)
+	if w.park == nil {
+		w.park = time.NewTimer(w.p.parkFor)
 	} else {
-		gort.Gosched()
+		w.park.Reset(w.p.parkFor)
+	}
+	select {
+	case <-w.ch:
+		if !w.park.Stop() {
+			<-w.park.C
+		}
+	case <-w.park.C:
 	}
 }
-
-// progressed resets the dry-round pacing after a productive round.
-func (w *idleWaiter) progressed() { w.idle = 0 }
 
 // stop releases the park timer and retires the notifier subscription.
 func (w *idleWaiter) stop() {
@@ -892,19 +867,14 @@ func (w *idleWaiter) stop() {
 	}
 }
 
-// BackendNotify exposes an engine-maintained activity latch when the
-// backend implements NotifyBackend (nil otherwise). External progress
-// loops — benchmark harnesses, application-level pollers — should park
-// on it between dry Progress rounds instead of yield-spinning; see
+// BackendNotify exposes an engine-maintained activity latch. External
+// progress loops — benchmark harnesses, application-level pollers —
+// should park on it between dry Progress rounds instead of
+// yield-spinning; see
 // idleWaiter for why spinning is actively harmful on few-core hosts.
 // The latch is fanned out alongside (not instead of) the engine's own
 // shard and waiter wakeups, so parking on it cannot starve them.
-func (p *Photon) BackendNotify() <-chan struct{} {
-	if p.nfy != nil {
-		return p.nfy.extern
-	}
-	return nil
-}
+func (p *Photon) BackendNotify() <-chan struct{} { return p.nfy.extern }
 
 func (p *Photon) waitMatch(rid uint64, timeout time.Duration, local bool) (Completion, error) {
 	var deadline time.Time
@@ -936,8 +906,6 @@ func (p *Photon) waitMatch(rid uint64, timeout time.Duration, local bool) (Compl
 		}
 		if n == 0 {
 			w.wait()
-		} else {
-			w.progressed()
 		}
 	}
 }

@@ -146,9 +146,6 @@ func NewWaiter(p *Photon) *Waiter {
 // that handled nothing; re-poll after every return.
 func (w *Waiter) Idle() { w.w.wait() }
 
-// Progressed resets the idle pacing after a productive round.
-func (w *Waiter) Progressed() { w.w.progressed() }
-
 // Release retires the waiter's notifier subscription and timer. The
 // waiter may be reused afterwards (the next Idle resubscribes).
 func (w *Waiter) Release() { w.w.stop() }
@@ -329,8 +326,6 @@ func (p *Photon) waitAll(w *Waiter, rids []uint64, out []Completion, deadline ti
 		}
 		if n == 0 && !took {
 			w.Idle()
-		} else {
-			w.Progressed()
 		}
 	}
 	w.pend = pend[:0]
