@@ -102,12 +102,13 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 			ph := phs[r]
 			inflight := 0
 			next := uint64(1)
+			w := core.NewWaiter(ph)
+			defer w.Release()
 			drain := func(target int) error {
 				for inflight > target {
 					// Batch: one progress round, then pop every
 					// available completion before progressing again.
-					ph.Progress()
-					popped := false
+					n := ph.Progress()
 					for {
 						c, ok := ph.PopLocal()
 						if !ok {
@@ -117,10 +118,10 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 							return c.Err
 						}
 						inflight--
-						popped = true
+						n++
 					}
-					if !popped {
-						gort.Gosched()
+					if n == 0 {
+						w.Idle()
 					}
 				}
 				return nil
@@ -137,7 +138,9 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 						errs[r] = err
 						return
 					}
-					ph.Progress()
+					if ph.Progress() == 0 {
+						w.Idle()
+					}
 				}
 				next++
 				inflight++

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	gort "runtime"
 	"sync"
 	"time"
 
@@ -184,6 +183,8 @@ func RunStencilPhoton(phs []*core.Photon, cfg StencilConfig) (StencilResult, err
 			// iteration i. Completions are matched by the iteration
 			// in the RID; early ones are banked for the next round.
 			early := 0
+			w := core.NewWaiter(ph)
+			defer w.Release()
 			for iter := 0; iter < cfg.Iterations; iter++ {
 				// Exchange halos of the current band: my first owned
 				// row -> upper neighbor's lower halo; my last owned
@@ -213,9 +214,15 @@ func RunStencilPhoton(phs []*core.Photon, cfg StencilConfig) (StencilResult, err
 				gotRemote, gotLocal := early, 0
 				early = 0
 				for gotRemote < expect || gotLocal < expect {
-					c, ok := ph.Probe(core.ProbeAny)
+					n := ph.Progress()
+					c, ok := ph.PopLocal()
 					if !ok {
-						gort.Gosched()
+						c, ok = ph.PopRemote()
+					}
+					if !ok {
+						if n == 0 {
+							w.Idle()
+						}
 						continue
 					}
 					if c.Err != nil {

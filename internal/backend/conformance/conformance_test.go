@@ -4,6 +4,7 @@
 package conformance_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -231,6 +232,42 @@ func TestWriteBatchOrderedOnce(t *testing.T) {
 			for i := 0; i < n; i++ {
 				if v := binary.LittleEndian.Uint64(buf[8*(i+1):]); v != uint64(i+1) {
 					t.Fatalf("slot %d = %d, want %d", i, v, i+1)
+				}
+			}
+		})
+	}
+}
+
+// A write snapshots its source at post time: overwriting the local
+// buffer as soon as PostWrite returns must not change what lands at
+// the target, for a small and a large write.
+func TestWriteSnapshotsSourceAtPost(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			bes := tr.pair(t)
+			for _, size := range []int{8, 64 << 10} {
+				buf, rb, lk := register(t, bes[1], size)
+				src := bytes.Repeat([]byte{0xa5}, size)
+				tok := uint64(size)
+				err := bes[0].PostWrite(1, src, rb.Addr, rb.RKey, tok, true)
+				for errors.Is(err, core.ErrWouldBlock) {
+					time.Sleep(50 * time.Microsecond)
+					err = bes[0].PostWrite(1, src, rb.Addr, rb.RKey, tok, true)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range src {
+					src[i] = 0x5a
+				}
+				if c := collect(t, bes[0], 1); len(c) != 1 || c[0].Token != tok || !c[0].OK {
+					t.Fatalf("%d B: completions %+v, want one OK token %d", size, c, tok)
+				}
+				lk.Lock()
+				ok := bytes.Equal(buf, bytes.Repeat([]byte{0xa5}, size))
+				lk.Unlock()
+				if !ok {
+					t.Fatalf("%d B: target does not hold the bytes the source held at post time", size)
 				}
 			}
 		})

@@ -426,9 +426,9 @@ func (c *Comm) waitAllRaw(rids []uint64, out []core.Completion, local bool) erro
 	c.spec.Watch = c.watch
 	c.spec.AbortRIDs = c.revokeRIDs
 	if local {
-		return c.ph.WaitLocalAllSpec(c.w, rids, out, &c.spec)
+		return c.ph.WaitLocalAll(c.w, rids, out, &c.spec)
 	}
-	return c.ph.WaitRemoteAllSpec(c.w, rids, out, &c.spec)
+	return c.ph.WaitRemoteAll(c.w, rids, out, &c.spec)
 }
 
 // wait1 reaps a single completion through the shared waiter scratch.

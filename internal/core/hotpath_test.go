@@ -39,6 +39,35 @@ func TestEagerPutAllocGuard(t *testing.T) {
 	}
 }
 
+// TestWaitRoundTripAllocGuard pins the blocking round trip every
+// latency-bound caller runs: PutBlocking, then WaitLocal and
+// WaitRemote on its two RIDs. The single-RID waits run the batched
+// wait loop over stack arrays and a stack Waiter, so steady state must
+// allocate nothing.
+func TestWaitRoundTripAllocGuard(t *testing.T) {
+	p, dst := loopEnv(t, core.Config{})
+	payload := make([]byte, 8)
+	op := func() {
+		if err := p.PutBlocking(0, payload, dst, 0, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := p.WaitLocal(1, waitT); err != nil || c.Err != nil {
+			t.Fatalf("local: %v %v", err, c.Err)
+		}
+		if c, err := p.WaitRemote(2, waitT); err != nil || c.Err != nil {
+			t.Fatalf("remote: %v %v", err, c.Err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		op()
+	}
+	allocs := testing.AllocsPerRun(200, op)
+	t.Logf("wait round trip: %.2f allocs/op", allocs)
+	if allocs != 0 {
+		t.Fatalf("wait round trip allocates %.2f times per op, want 0", allocs)
+	}
+}
+
 // TestStaleTokenRejected scripts the backend completion stream to
 // deliver late, duplicate, and fabricated completions, and checks the
 // generation-tagged token table accepts each token exactly once.

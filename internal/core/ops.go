@@ -544,30 +544,30 @@ func (p *Photon) postPair(ps *peerState, rank int, a, b wireOp) {
 // PutBlocking wraps PutWithCompletion, driving Progress until the
 // operation can be posted.
 func (p *Photon) PutBlocking(rank int, local []byte, dst mem.RemoteBuffer, off uint64, localRID, remoteRID uint64) error {
-	w := idleWaiter{p: p}
-	defer w.stop()
+	w := Waiter{p: p}
+	defer w.Release()
 	for {
 		err := p.PutWithCompletion(rank, local, dst, off, localRID, remoteRID)
 		if err == nil || !errors.Is(err, ErrWouldBlock) {
 			return err
 		}
 		if p.Progress() == 0 {
-			w.wait()
+			w.Idle()
 		}
 	}
 }
 
 // SendBlocking wraps Send, driving Progress until it can be posted.
 func (p *Photon) SendBlocking(rank int, data []byte, localRID, remoteRID uint64) error {
-	w := idleWaiter{p: p}
-	defer w.stop()
+	w := Waiter{p: p}
+	defer w.Release()
 	for {
 		err := p.Send(rank, data, localRID, remoteRID)
 		if err == nil || !errors.Is(err, ErrWouldBlock) {
 			return err
 		}
 		if p.Progress() == 0 {
-			w.wait()
+			w.Idle()
 		}
 	}
 }

@@ -553,13 +553,11 @@ func (p *Photon) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	// Nudge every shard runner so background progress observes closed
+	// Wake every shard runner and parked waiter so each observes closed
 	// promptly, then wait the runners out — a runner inside
 	// progressShard holds its shard mutex, which the drain below must
 	// be able to take.
-	for _, s := range p.shards {
-		s.kick()
-	}
+	p.nfy.fanout()
 	p.runWG.Wait()
 	// Serialize with the progress engines: with every shard mutex held
 	// (ascending index, the fault plane's lock order) the engine is

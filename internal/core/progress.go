@@ -789,17 +789,41 @@ func (p *Photon) takeMatchAny(rid uint64, local bool) (Completion, bool) {
 	return Completion{}, false
 }
 
-// WaitLocal spins (driving progress) until the local completion with
-// the given RID arrives, removing it from the stream; other completions
-// are left queued. A non-positive timeout waits forever.
+// WaitLocal drives progress until the local completion with the given
+// RID arrives, removing it from the stream; other completions are left
+// queued. It is a one-element batched wait (see WaitLocalAll) with the
+// timeout as its deadline; a non-positive timeout waits forever
+// (bounded by 2×OpTimeout when op deadlines are armed). A failed op
+// comes back as its Completion with Err set and a nil error.
 func (p *Photon) WaitLocal(rid uint64, timeout time.Duration) (Completion, error) {
-	return p.waitMatch(rid, timeout, true)
+	return p.waitOne(rid, timeout, true)
 }
 
-// WaitRemote spins until the remote completion with the given RID
-// arrives.
+// WaitRemote is WaitLocal for remote completions.
 func (p *Photon) WaitRemote(rid uint64, timeout time.Duration) (Completion, error) {
-	return p.waitMatch(rid, timeout, false)
+	return p.waitOne(rid, timeout, false)
+}
+
+// waitOne runs the batched wait over stack arrays and a stack Waiter,
+// so a single-RID wait allocates nothing and never grows a Waiter's
+// scratch. Unlike a batch, it matches RID 0 (error completions for
+// ops that carried none are queued under it).
+func (p *Photon) waitOne(rid uint64, timeout time.Duration, local bool) (Completion, error) {
+	var spec WaitSpec
+	if timeout > 0 {
+		spec.Deadline = time.Now().Add(timeout)
+	}
+	w := Waiter{p: p}
+	defer w.Release()
+	rids, pend := [1]uint64{rid}, [1]int{0}
+	var out [1]Completion
+	err := p.wait(&w, rids[:], out[:], pend[:], &spec, local)
+	if out[0].Err != nil {
+		// The batch returned at the failed completion; a single wait
+		// hands it back as the result instead.
+		return out[0], nil
+	}
+	return out[0], err
 }
 
 // parkGrace caps how long an idle waiter stays parked on its notify
@@ -811,104 +835,95 @@ func (p *Photon) WaitRemote(rid uint64, timeout time.Duration) (Completion, erro
 // a time-based health transition raises no backend event.
 const parkGrace = time.Millisecond
 
-// idleWaiter paces the dry rounds of a blocking wait loop. It
-// subscribes a private capacity-1 channel to the engine's notifier
-// fan-out and parks on it: the agent that queues the next completion
-// (or applies the next remote write) wakes every parked waiter
-// directly, so the wait resolves at goroutine-handoff latency and one
-// waiter consuming a wake can never starve another (each waiter holds
-// its own latch — the fairness fix over a single shared notify
-// channel). This matters doubly on few-core hosts — a
-// parked waiter frees the processor for the runtime's network poller,
-// where a spinning one starves it, and a timer sleep would round every
-// blocking latency up to kernel scheduler-tick granularity (~1ms on
-// HZ=1000 hosts).
-type idleWaiter struct {
-	p    *Photon
-	park *time.Timer   // lazily created, reused across parks
-	ch   chan struct{} // private notifier subscription (recycled)
+// parker blocks on a wake latch for at most one grace period, reusing
+// a single timer across parks. Waiter and the shard runners share it.
+type parker struct{ t *time.Timer }
+
+// park reports whether the latch (rather than the grace timer) ended
+// the park.
+func (k *parker) park(ch <-chan struct{}, grace time.Duration) bool {
+	if k.t == nil {
+		k.t = time.NewTimer(grace)
+	} else {
+		k.t.Reset(grace)
+	}
+	select {
+	case <-ch:
+		if !k.t.Stop() {
+			<-k.t.C
+		}
+		return true
+	case <-k.t.C:
+		return false
+	}
 }
 
-// wait blocks until backend activity suggests progress is possible (or
-// a grace period elapses). Callers must re-poll after every return:
-// one wake token can coalesce many events, and timer wakeups carry no
-// information at all.
-func (w *idleWaiter) wait() {
+// stop releases the timer.
+func (k *parker) stop() {
+	if k.t != nil {
+		k.t.Stop()
+	}
+}
+
+// Waiter paces the dry rounds of a loop that drives Progress and
+// waits; every such loop, inside the engine or above it, idles through
+// one. Idle parks the caller on a private capacity-1 subscription to
+// the engine's notifier fan-out: the agent that queues the next
+// completion (or applies the next remote write) wakes every parked
+// waiter directly, so the wait resolves at goroutine-handoff latency,
+// and one waiter consuming a wake can never starve another (each holds
+// its own latch). On few-core hosts this matters doubly: a parked
+// waiter frees the processor for the runtime's network poller, where a
+// spinning one starves it, and a timer sleep would round every blocking
+// latency up to kernel scheduler-tick granularity (~1ms on HZ=1000
+// hosts).
+//
+// A Waiter keeps its subscription, park timer and batch scratch across
+// waits, so schedule-driven callers running thousands of rounds do not
+// re-subscribe per round. Obtain one from NewWaiter and Release it
+// when done. A Waiter is not safe for concurrent use.
+type Waiter struct {
+	p    *Photon
+	ch   chan struct{} // private notifier subscription (recycled)
+	park parker
+	pend []int // batched-wait index scratch, reused across calls
+}
+
+// NewWaiter creates a reusable wait pacer bound to this instance.
+func NewWaiter(p *Photon) *Waiter { return &Waiter{p: p} }
+
+// Idle parks the caller until backend activity suggests progress is
+// possible (or a grace period passes). Call it after a Progress round
+// that handled nothing; re-poll after every return: one wake token can
+// coalesce many events, and timer wakeups carry no information at all.
+func (w *Waiter) Idle() {
 	if w.ch == nil {
 		// First dry round: subscribe, then re-poll immediately — an
 		// event delivered before the subscription existed was never
 		// routed to this channel, so parking now could stall a wait
-		// by a full parkGrace.
+		// by a full grace period.
 		w.ch = w.p.nfy.subscribe()
 		return
 	}
-	if w.park == nil {
-		w.park = time.NewTimer(w.p.parkFor)
-	} else {
-		w.park.Reset(w.p.parkFor)
-	}
-	select {
-	case <-w.ch:
-		if !w.park.Stop() {
-			<-w.park.C
-		}
-	case <-w.park.C:
-	}
+	w.park.park(w.ch, w.p.parkFor)
 }
 
-// stop releases the park timer and retires the notifier subscription.
-func (w *idleWaiter) stop() {
+// Release retires the waiter's notifier subscription and timer. The
+// waiter may be reused afterwards (the next Idle resubscribes).
+func (w *Waiter) Release() {
 	if w.ch != nil {
 		w.p.nfy.unsubscribe(w.ch)
 		w.ch = nil
 	}
-	if w.park != nil {
-		w.park.Stop()
-	}
+	w.park.stop()
 }
 
-// BackendNotify exposes an engine-maintained activity latch. External
-// progress loops — benchmark harnesses, application-level pollers —
-// should park on it between dry Progress rounds instead of
-// yield-spinning; see
-// idleWaiter for why spinning is actively harmful on few-core hosts.
-// The latch is fanned out alongside (not instead of) the engine's own
-// shard and waiter wakeups, so parking on it cannot starve them.
+// BackendNotify exposes an engine-maintained activity latch for
+// progress loops that cannot hold a Waiter (it is fanned out alongside,
+// not instead of, the engine's own shard and waiter wakeups, so
+// parking on it cannot starve them). Park on it between dry Progress
+// rounds instead of yield-spinning; see Waiter for why.
 func (p *Photon) BackendNotify() <-chan struct{} { return p.nfy.extern }
-
-func (p *Photon) waitMatch(rid uint64, timeout time.Duration, local bool) (Completion, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	} else if p.opTimeoutNS > 0 {
-		// With op deadlines armed, even "wait forever" calls are
-		// bounded: an in-flight op surfaces its error completion within
-		// ~OpTimeout plus one sweep period, so 2×OpTimeout covers every
-		// waiter — including ones waiting on a remote RID that no local
-		// op ever carried (e.g. the peer died before posting).
-		deadline = time.Now().Add(2 * time.Duration(p.opTimeoutNS))
-	}
-	w := idleWaiter{p: p}
-	defer w.stop()
-	for {
-		n := p.Progress()
-		if c, ok := p.takeMatchAny(rid, local); ok {
-			if c.traced {
-				p.traceEv(trace.KindReap, c.RID, "reap.wait")
-			}
-			return c, nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return Completion{}, ErrTimeout
-		}
-		if p.closed.Load() {
-			return Completion{}, ErrClosed
-		}
-		if n == 0 {
-			w.wait()
-		}
-	}
-}
 
 // Flush forces pending credit returns out (used before quiescing, e.g.
 // by barriers, so peers are never left starved of credits). Shards

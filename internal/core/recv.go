@@ -124,66 +124,6 @@ func (p *Photon) CancelRecv(rid uint64) bool {
 	return p.recvs.cancel(rid)
 }
 
-// Waiter paces blocking wait loops across calls: it keeps the notifier
-// subscription and park timer of the engine's internal idle waiter
-// alive between waits, so schedule-driven callers (collectives) running
-// thousands of rounds do not re-subscribe per round. The zero value is
-// not usable; obtain one from NewWaiter and Release it when done.
-//
-// A Waiter is not safe for concurrent use.
-type Waiter struct {
-	w    idleWaiter
-	pend []int // WaitAll index scratch, reused across calls
-}
-
-// NewWaiter creates a reusable wait pacer bound to this instance.
-func NewWaiter(p *Photon) *Waiter {
-	return &Waiter{w: idleWaiter{p: p}}
-}
-
-// Idle parks the caller until backend activity suggests progress is
-// possible (or a grace period passes). Call it after a Progress round
-// that handled nothing; re-poll after every return.
-func (w *Waiter) Idle() { w.w.wait() }
-
-// Release retires the waiter's notifier subscription and timer. The
-// waiter may be reused afterwards (the next Idle resubscribes).
-func (w *Waiter) Release() { w.w.stop() }
-
-// WaitRemoteAll drives progress until every listed remote completion
-// has arrived, removing each from its stream; out[i] receives the
-// completion for rids[i]. A zero rid is skipped (its out slot is left
-// untouched) — schedules with no-op edges pass holes rather than
-// compacting. Unlike len(rids) separate WaitRemote calls, one call
-// reaps arrivals in whatever order the network delivers them, so a
-// round of r messages costs one network latency, not r.
-//
-// A non-positive timeout waits forever (bounded by 2×OpTimeout when op
-// deadlines are armed). On timeout the already-arrived completions are
-// in out and ErrTimeout is returned. When every completion arrived,
-// the first non-nil Completion.Err (in rids order) is returned, so
-// callers checking only the error still observe per-op failures.
-func (p *Photon) WaitRemoteAll(w *Waiter, rids []uint64, out []Completion, timeout time.Duration) error {
-	return p.waitAllMatched(w, rids, out, timeout, false)
-}
-
-// WaitLocalAll is WaitRemoteAll for local completions.
-func (p *Photon) WaitLocalAll(w *Waiter, rids []uint64, out []Completion, timeout time.Duration) error {
-	return p.waitAllMatched(w, rids, out, timeout, true)
-}
-
-func (p *Photon) waitAllMatched(w *Waiter, rids []uint64, out []Completion, timeout time.Duration, local bool) error {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	} else if p.opTimeoutNS > 0 {
-		// Same bound as waitMatch: with op deadlines armed, every
-		// in-flight op surfaces an error completion within ~2×OpTimeout.
-		deadline = time.Now().Add(2 * time.Duration(p.opTimeoutNS))
-	}
-	return p.waitAll(w, rids, out, deadline, nil, local)
-}
-
 // TakeRemote non-blockingly removes and returns the remote completion
 // for rid if it has already arrived. It does not drive Progress; pair
 // it with a caller-driven progress loop. The collectives layer uses it
@@ -192,21 +132,18 @@ func (p *Photon) TakeRemote(rid uint64) (Completion, bool) {
 	return p.takeMatchAny(rid, false)
 }
 
-// ErrWaitAborted is returned by the spec-carrying waits when one of the
-// spec's AbortRIDs arrived: the wait was cut short not because an
-// awaited completion failed but because an out-of-band abort message
-// (a collective revocation notice) landed. The consumed completion is
-// in WaitSpec.Aborted.
+// ErrWaitAborted is returned by a batched wait when one of the spec's
+// AbortRIDs arrived: the wait was cut short not because an awaited
+// completion failed but because an out-of-band abort message (a
+// collective revocation notice) landed. The consumed completion is in
+// WaitSpec.Aborted.
 var ErrWaitAborted = errors.New("photon: wait aborted")
 
-// WaitSpec parameterizes a failure-aware batched wait. Unlike the plain
-// WaitRemoteAll/WaitLocalAll — which only give up on a wall-clock bound
-// and surface per-op errors after every completion arrived — a wait
-// carrying a spec returns as soon as anything proves the batch cannot
-// or should not complete:
+// WaitSpec parameterizes a batched wait. The wait returns as soon as
+// anything proves the batch cannot or should not complete:
 //
-//   - a reaped completion carries a non-nil Err (returned immediately;
-//     remaining completions are abandoned);
+//   - a reaped completion carries a non-nil Err (returned immediately,
+//     DownRank set to its rank; remaining completions are abandoned);
 //   - a rank in Watch latches PeerDown (a wrapped ErrPeerDown naming
 //     the rank is returned, DownRank set);
 //   - a remote completion for one of AbortRIDs arrives (ErrWaitAborted
@@ -214,9 +151,9 @@ var ErrWaitAborted = errors.New("photon: wait aborted")
 //   - Deadline passes (ErrTimeout). A zero Deadline falls back to
 //     2×OpTimeout when op deadlines are armed, else waits forever.
 //
-// The spec is caller-owned and reusable; the output fields (DownRank,
-// AbortIdx, Aborted) are overwritten by each wait that returns an
-// abort-flavored error.
+// A nil spec is a zero one: a deadline only. The spec is caller-owned
+// and reusable; the output fields (DownRank, AbortIdx, Aborted) are
+// overwritten by each wait that returns an abort-flavored error.
 type WaitSpec struct {
 	Deadline  time.Time
 	Watch     []int    // peer ranks whose PeerDown latch aborts the wait
@@ -227,20 +164,52 @@ type WaitSpec struct {
 	Aborted  Completion // set on ErrWaitAborted: the consumed notice
 }
 
-// WaitRemoteAllSpec is WaitRemoteAll plus the spec's abort conditions.
-func (p *Photon) WaitRemoteAllSpec(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec) error {
-	return p.waitAll(w, rids, out, specDeadline(p, spec), spec, false)
+// WaitRemoteAll drives progress until every listed remote completion
+// has arrived, removing each from its stream; out[i] receives the
+// completion for rids[i]. A zero rid is skipped (its out slot is left
+// untouched) — schedules with no-op edges pass holes rather than
+// compacting. Unlike len(rids) separate WaitRemote calls, one call
+// reaps arrivals in whatever order the network delivers them, so a
+// round of r messages costs one network latency, not r. The spec (nil
+// for a deadline only) sets when the wait gives up; on any early
+// return the completions taken so far are in out.
+func (p *Photon) WaitRemoteAll(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec) error {
+	return p.waitAll(w, rids, out, spec, false)
 }
 
-// WaitLocalAllSpec is WaitLocalAll plus the spec's abort conditions.
-// AbortRIDs are always matched against the remote stream (abort notices
-// arrive from peers) even though the awaited completions are local.
-func (p *Photon) WaitLocalAllSpec(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec) error {
-	return p.waitAll(w, rids, out, specDeadline(p, spec), spec, true)
+// WaitLocalAll is WaitRemoteAll for local completions. AbortRIDs are
+// always matched against the remote stream (abort notices arrive from
+// peers) even though the awaited completions are local.
+func (p *Photon) WaitLocalAll(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec) error {
+	return p.waitAll(w, rids, out, spec, true)
 }
 
+func (p *Photon) waitAll(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec, local bool) error {
+	if len(out) < len(rids) {
+		return fmt.Errorf("photon: wait-all out slice too short: %d for %d rids", len(out), len(rids))
+	}
+	pend := w.pend[:0]
+	for i, rid := range rids {
+		if rid != 0 {
+			pend = append(pend, i)
+		}
+	}
+	w.pend = pend
+	var zero WaitSpec
+	if spec == nil {
+		spec = &zero
+	}
+	return p.wait(w, rids, out, pend, spec, local)
+}
+
+// specDeadline is the one deadline rule of every wait: the spec's
+// Deadline, else — with op deadlines armed — 2×OpTimeout from now. An
+// in-flight op surfaces its error completion within ~OpTimeout plus
+// one sweep period, so 2×OpTimeout covers every waiter, including one
+// waiting on a remote RID that no live op carries (the peer died
+// before posting). Else no deadline.
 func specDeadline(p *Photon, spec *WaitSpec) time.Time {
-	if spec != nil && !spec.Deadline.IsZero() {
+	if !spec.Deadline.IsZero() {
 		return spec.Deadline
 	}
 	if p.opTimeoutNS > 0 {
@@ -272,69 +241,51 @@ func (p *Photon) checkSpec(spec *WaitSpec) error {
 	return nil
 }
 
-func (p *Photon) waitAll(w *Waiter, rids []uint64, out []Completion, deadline time.Time, spec *WaitSpec, local bool) error {
-	if len(out) < len(rids) {
-		return fmt.Errorf("photon: wait-all out slice too short: %d for %d rids", len(out), len(rids))
-	}
-	pend := w.pend[:0]
-	for i, rid := range rids {
-		if rid != 0 {
-			pend = append(pend, i)
-		}
-	}
+// wait is the engine's one blocking reap loop. Each round it drives
+// Progress, takes every arrived completion for rids[pend[j]] into the
+// matching out slot, then checks the spec, the deadline and Close, and
+// parks on w only after a round that handled nothing. pend lists the
+// awaited indices and is consumed in place. It returns nil once every
+// awaited completion is taken, or at the first completion carrying an
+// Err.
+func (p *Photon) wait(w *Waiter, rids []uint64, out []Completion, pend []int, spec *WaitSpec, local bool) error {
+	deadline := specDeadline(p, spec)
 	for len(pend) > 0 {
 		n := p.Progress()
-		took := false
 		for j := 0; j < len(pend); {
 			i := pend[j]
-			if c, ok := p.takeMatchAny(rids[i], local); ok {
-				if c.traced {
-					p.traceEv(trace.KindReap, c.RID, "reap.waitall")
-				}
-				out[i] = c
-				pend[j] = pend[len(pend)-1]
-				pend = pend[:len(pend)-1]
-				took = true
-				if spec != nil && c.Err != nil {
-					// Fail fast: one failed op condemns the batch; the
-					// abandoned completions belong to a collective that
-					// is about to be revoked anyway.
-					w.pend = pend[:0]
-					spec.DownRank = c.Rank
-					return c.Err
-				}
+			c, ok := p.takeMatchAny(rids[i], local)
+			if !ok {
+				j++
 				continue
 			}
-			j++
+			if c.traced {
+				p.traceEv(trace.KindReap, c.RID, "reap.wait")
+			}
+			out[i] = c
+			if c.Err != nil {
+				// Fail fast: one failed op condemns the batch.
+				spec.DownRank = c.Rank
+				return c.Err
+			}
+			pend[j] = pend[len(pend)-1]
+			pend = pend[:len(pend)-1]
+			n++
 		}
 		if len(pend) == 0 {
 			break
 		}
-		if spec != nil {
-			if err := p.checkSpec(spec); err != nil {
-				w.pend = pend[:0]
-				return err
-			}
+		if err := p.checkSpec(spec); err != nil {
+			return err
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			w.pend = pend[:0]
 			return ErrTimeout
 		}
 		if p.closed.Load() {
-			w.pend = pend[:0]
 			return ErrClosed
 		}
-		if n == 0 && !took {
+		if n == 0 {
 			w.Idle()
-		}
-	}
-	w.pend = pend[:0]
-	for i, rid := range rids {
-		if rid != 0 && out[i].Err != nil {
-			if spec != nil {
-				spec.DownRank = out[i].Rank
-			}
-			return out[i].Err
 		}
 	}
 	return nil

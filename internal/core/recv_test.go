@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -160,7 +161,7 @@ func TestWaitRemoteAll(t *testing.T) {
 	defer w.Release()
 	rids := []uint64{0, 1001, 1002, 1003, 1004}
 	out := make([]core.Completion, len(rids))
-	if err := phs[0].WaitRemoteAll(w, rids, out, waitT); err != nil {
+	if err := phs[0].WaitRemoteAll(w, rids, out, &core.WaitSpec{Deadline: time.Now().Add(waitT)}); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < n; r++ {
@@ -183,11 +184,88 @@ func TestWaitRemoteAllTimeout(t *testing.T) {
 	w := core.NewWaiter(phs[1])
 	defer w.Release()
 	out := make([]core.Completion, 2)
-	err := phs[1].WaitRemoteAll(w, []uint64{31, 32}, out, 250*time.Millisecond)
+	err := phs[1].WaitRemoteAll(w, []uint64{31, 32}, out, &core.WaitSpec{Deadline: time.Now().Add(250 * time.Millisecond)})
 	if err != core.ErrTimeout {
 		t.Fatalf("err = %v", err)
 	}
 	if out[0].RID != 31 {
 		t.Fatalf("arrived completion missing: %+v", out[0])
+	}
+}
+
+// TestWaitErrorCompletion: a single wait hands a failed op back as its
+// completion with a nil error, while a batch returns at the first
+// error completion without waiting for the rest of its RIDs.
+func TestWaitErrorCompletion(t *testing.T) {
+	bogus := coreRemoteBuffer(0x4000, 9999, 4096)
+	t.Run("single", func(t *testing.T) {
+		_, phs := faultJob(t, 2, core.Config{DisablePackedPut: true})
+		if err := phs[0].PutWithCompletion(1, []byte{1}, bogus, 0, 5, 0); err != nil {
+			t.Fatal(err)
+		}
+		c, err := phs[0].WaitLocal(5, waitT)
+		if err != nil {
+			t.Fatalf("wait error %v, want the failure inside the completion", err)
+		}
+		if c.RID != 5 || c.Err == nil {
+			t.Fatalf("completion %+v, want RID 5 with Err set", c)
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		_, phs := faultJob(t, 2, core.Config{DisablePackedPut: true})
+		if err := phs[0].PutWithCompletion(1, []byte{1}, bogus, 0, 7, 0); err != nil {
+			t.Fatal(err)
+		}
+		w := core.NewWaiter(phs[0])
+		out := make([]core.Completion, 2)
+		done := make(chan error, 1)
+		go func() {
+			// RID 8 is never posted: a nil spec carries no deadline,
+			// so only the fail-fast return ends this wait.
+			done <- phs[0].WaitLocalAll(w, []uint64{7, 8}, out, nil)
+			w.Release()
+		}()
+		select {
+		case err := <-done:
+			if err == nil || out[0].RID != 7 || !errors.Is(err, out[0].Err) {
+				t.Fatalf("err = %v, out[0] = %+v; want out[0]'s Err", err, out[0])
+			}
+		case <-time.After(waitT):
+			phs[0].Close()
+			t.Fatal("batch kept waiting after an error completion")
+		}
+	})
+}
+
+// TestCloseWakesParkedWaiters: a single and a batched wait parked on
+// RIDs that never arrive both return ErrClosed promptly when the
+// instance is closed from another goroutine, long before their
+// timeout.
+func TestCloseWakesParkedWaiters(t *testing.T) {
+	phs := newJob(t, 2, core.Config{})
+	p := phs[1]
+	errs := make(chan error, 2)
+	go func() {
+		_, err := p.WaitRemote(41, waitT)
+		errs <- err
+	}()
+	go func() {
+		w := core.NewWaiter(p)
+		defer w.Release()
+		out := make([]core.Completion, 2)
+		errs <- p.WaitRemoteAll(w, []uint64{42, 43}, out, &core.WaitSpec{Deadline: time.Now().Add(waitT)})
+	}()
+	// Let both waiters subscribe and park.
+	time.Sleep(20 * time.Millisecond)
+	start := time.Now()
+	go p.Close()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != core.ErrClosed {
+			t.Fatalf("wait returned %v, want ErrClosed", err)
+		}
+	}
+	// The park grace is 1 ms; allow scheduling slack under -race.
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("waiters took %v to observe Close (timeout %v)", d, waitT)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Engine sharding. Peers are partitioned across engine shards
@@ -132,13 +131,13 @@ func (p *Photon) StartProgress() {
 	}
 }
 
-// runShard is one shard's background runner loop. Pacing mirrors
-// idleWaiter: after a dry round it parks on the shard latch, which the
-// notifier kicks on every backend event (goroutine-handoff wakeups,
-// bounded by parkFor).
+// runShard is one shard's background runner loop. After a dry round
+// it parks on the shard latch through the same parker as Waiter; the
+// notifier kicks the latch on every backend event.
 func (p *Photon) runShard(s *engineShard) {
 	defer p.runWG.Done()
-	var park *time.Timer
+	var k parker
+	defer k.stop()
 	idle := 0
 	for !p.closed.Load() {
 		p.stats.progress.Add(1)
@@ -147,23 +146,10 @@ func (p *Photon) runShard(s *engineShard) {
 			continue
 		}
 		idle++
-		if park == nil {
-			park = time.NewTimer(p.parkFor)
-		} else {
-			park.Reset(p.parkFor)
-		}
 		p.traceShard(s.idx, uint64(idle), false, "shard.park")
-		select {
-		case <-s.wake:
-			if !park.Stop() {
-				<-park.C
-			}
+		if k.park(s.wake, p.parkFor) {
 			p.traceShard(s.idx, 0, false, "shard.wake")
-		case <-park.C:
 		}
-	}
-	if park != nil {
-		park.Stop()
 	}
 }
 

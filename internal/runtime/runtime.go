@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	gort "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -367,10 +366,12 @@ func (l *Locality) send(rank int, action ActionID, cont uint64, payload []byte) 
 	return nil
 }
 
-// dispatch is the progress/dispatch loop.
+// dispatch is the progress/dispatch loop. After a dry round it parks
+// on a core.Waiter, so Shutdown is observed within one park grace.
 func (l *Locality) dispatch() {
 	defer l.done.Done()
-	idle := 0
+	w := core.NewWaiter(l.ph)
+	defer w.Release()
 	for {
 		select {
 		case <-l.stop:
@@ -404,13 +405,7 @@ func (l *Locality) dispatch() {
 			}
 		}
 		if n == 0 {
-			idle++
-			gort.Gosched()
-			if idle > 256 {
-				time.Sleep(5 * time.Microsecond)
-			}
-		} else {
-			idle = 0
+			w.Idle()
 		}
 	}
 }
